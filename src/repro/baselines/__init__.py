@@ -4,4 +4,3 @@ from repro.baselines.simulate import estimate_spread, estimate_spread_local  # n
 from repro.baselines.general_greedy import general_greedy  # noqa: F401
 from repro.baselines.ris import run_ris, RRBudgetExceeded  # noqa: F401
 from repro.baselines.infusermg import run_infusermg  # noqa: F401
-from repro.baselines.staticgreedy import run_staticgreedy  # noqa: F401

@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.evaluate import sampled_levels
 from repro.eval.space import ris_bytes
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_RR, u01
+from repro.spark_jobs import map_range
 
 
 class RRBudgetExceeded(RuntimeError):
@@ -38,26 +39,8 @@ def _rr_root(i: int, offset: int, n: int) -> int:
 
 def _rr_set(csr: CSR, probs: np.ndarray, salt: int, root: int) -> np.ndarray:
     """The RR set of ``root``: its CC in one live-edge sample."""
-    visited = np.zeros(csr.n, dtype=bool)
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    members = [frontier]
-    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
-    while frontier.size:
-        arc_idx = np.concatenate(
-            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
-        )
-        if arc_idx.size == 0:
-            break
-        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
-        nbrs = adj[arc_idx[alive]]
-        nbrs = nbrs[~visited[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs).astype(np.int64)
-        visited[frontier] = True
-        members.append(frontier)
-    return np.concatenate(members)
+    root_level = np.array([root], dtype=np.int64)
+    return np.concatenate(list(sampled_levels(csr, probs, root_level, salt)))
 
 
 def generate_rr_sets_local(
@@ -76,29 +59,21 @@ def generate_rr_sets(
     spark: SparkSession, csr: CSR, probs: np.ndarray, theta: int, *, offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rr_id, member) arrays for θ RR sets, one Spark job."""
-    bc = spark.sparkContext.broadcast((csr, probs))
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        csr_b, probs_b = bc.value
-        for pdf in batches:
-            ids, members = [], []
-            for i in pdf["id"].astype(int):
-                rr = _rr_set(
-                    csr_b, probs_b, SALT_RR + offset + i,
-                    _rr_root(i, offset, csr_b.n),
-                )
-                ids.append(np.full(len(rr), i, dtype=np.int64))
-                members.append(rr.astype(np.int64))
-            if ids:
-                yield pd.DataFrame(
-                    {"rr": np.concatenate(ids), "v": np.concatenate(members)}
-                )
+    def task(shared, ids: np.ndarray) -> pd.DataFrame:
+        csr_b, probs_b = shared
+        rr_ids, members = [], []
+        for i in ids.tolist():
+            rr = _rr_set(
+                csr_b, probs_b, SALT_RR + offset + i, _rr_root(i, offset, csr_b.n)
+            )
+            rr_ids.append(np.full(len(rr), i, dtype=np.int64))
+            members.append(rr)
+        return pd.DataFrame(
+            {"rr": np.concatenate(rr_ids), "v": np.concatenate(members)}
+        )
 
-    out = (
-        spark.range(theta)  # range already spreads ids over the cores
-        .mapInPandas(kernel, schema="rr long, v long")
-        .toPandas()
-    )
+    out = map_range(spark, theta, (csr, probs), task, "rr long, v long")
     return out["rr"].to_numpy(), out["v"].to_numpy()
 
 

@@ -13,40 +13,22 @@ reference used by tests.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.core.evaluate import sampled_levels
 from repro.graphs.csr import CSR
-from repro.hashing import SALT_SIM, u01
+from repro.hashing import SALT_SIM
+from repro.spark_jobs import map_range
 
 
 def _spread_once(
     csr: CSR, probs: np.ndarray, seeds: np.ndarray, salt: int
 ) -> int:
     """#vertices activated from ``seeds`` in one sampled live-edge graph."""
-    visited = np.zeros(csr.n, dtype=bool)
-    visited[seeds] = True
-    frontier = np.unique(seeds)
-    count = len(frontier)
-    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
-    while frontier.size:
-        arc_idx = np.concatenate(
-            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
-        )
-        if arc_idx.size == 0:
-            break
-        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
-        nbrs = adj[arc_idx[alive]]
-        nbrs = nbrs[~visited[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs).astype(np.int64)
-        visited[frontier] = True
-        count += len(frontier)
-    return count
+    levels = sampled_levels(csr, probs, np.unique(seeds), salt)
+    return sum(len(level) for level in levels)
 
 
 def estimate_spread_local(
@@ -81,20 +63,14 @@ def estimate_spread(
     seeds = np.asarray(list(seeds), dtype=np.int64)
     if seeds.size == 0:
         return 0.0
-    bc = spark.sparkContext.broadcast((csr, probs))
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        csr_b, probs_b = bc.value
-        for pdf in batches:
-            counts = [
-                _spread_once(csr_b, probs_b, seeds, SALT_SIM + sim_offset + int(i))
-                for i in pdf["id"]
-            ]
-            yield pd.DataFrame({"spread": counts})
+    def task(shared, ids: np.ndarray) -> pd.DataFrame:
+        csr_b, probs_b = shared
+        counts = [
+            _spread_once(csr_b, probs_b, seeds, SALT_SIM + sim_offset + i)
+            for i in ids.tolist()
+        ]
+        return pd.DataFrame({"spread": counts})
 
-    out = (
-        spark.range(n_sims)  # range already spreads ids over the cores
-        .mapInPandas(kernel, schema="spread long")
-        .toPandas()
-    )
+    out = map_range(spark, n_sims, (csr, probs), task, "spread long")
     return float(out["spread"].mean())

@@ -1,8 +1,7 @@
 """Parallel-connectivity substrate (the paper uses ConnectIt [27]).
 
-``local_cc`` is the vectorized numpy kernel used inside per-sketch Spark
-tasks; ``dataframe_cc`` is a fully distributed DataFrame implementation
-for graphs that outgrow a driver-side CSR.
+``local_cc`` is the vectorized numpy kernel run inside each per-sketch
+Spark task. Single-source traversals of a sampled graph are
+:func:`repro.core.evaluate.sampled_levels`.
 """
-from repro.cc.local_cc import bfs_component, cc_labels, cc_sizes  # noqa: F401
-from repro.cc.dataframe_cc import dataframe_cc  # noqa: F401
+from repro.cc.local_cc import cc_labels, cc_sizes  # noqa: F401

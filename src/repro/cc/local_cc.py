@@ -3,9 +3,7 @@
 ``cc_labels`` is min-label propagation with pointer jumping — fully
 vectorized, converges in O(log n) rounds on typical inputs, and is the
 workhorse inside each per-sketch Spark task (paper Alg. 3 line 2,
-where the authors use ConnectIt). ``bfs_component`` is the reference
-single-source traversal used by tests and by the GetCenter kernel's
-exhaustive fallback checks.
+where the authors use ConnectIt).
 """
 from __future__ import annotations
 
@@ -44,29 +42,3 @@ def cc_sizes(labels: np.ndarray) -> np.ndarray:
     """Component size indexed by label (0 where the id is not a label)."""
     return np.bincount(labels, minlength=len(labels))
 
-
-def bfs_component(
-    n: int, neighbors, source: int
-) -> np.ndarray:
-    """Vertices of ``source``'s component via BFS.
-
-    ``neighbors(v)`` returns an int array of v's (sampled) neighbours;
-    keeping it a callable lets tests plug in hash-filtered adjacency.
-    """
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    out = [frontier]
-    while len(frontier):
-        nxt = []
-        for v in frontier:
-            nbrs = neighbors(int(v))
-            fresh = nbrs[~visited[nbrs]]
-            if len(fresh):
-                fresh = np.unique(fresh)
-                visited[fresh] = True
-                nxt.append(fresh)
-        frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-        if len(frontier):
-            out.append(frontier)
-    return np.concatenate(out)

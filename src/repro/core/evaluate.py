@@ -1,21 +1,27 @@
 """Marginal-gain evaluation (paper Alg. 3: GetCenter / Marginal / MarkSeed).
 
-``get_center`` runs the local BFS simulation on the hash-reconstructed
-sampled graph G'_r: it stops as soon as a center is reached (and returns
-the memoized CC size for that center's label), returns 0 if the CC turns
-out to contain a seed, and otherwise returns the number of vertices it
-exhaustively visited (= the CC size). Expected visits are
-O(min(T, 1/α)) per sketch (Thm. 3.1).
+Every traversal in the repo is :func:`sampled_levels`: a level-by-level
+BFS on the hash-reconstructed sampled graph G'_salt. Its consumers differ
+only in their stop rule and salt stream:
 
-Two evaluators share this kernel:
+- ``get_center`` (sketch stream) stops at the first level holding a
+  center and returns the memoized CC size for that center's label,
+  returns 0 if the CC turns out to contain a seed, and otherwise returns
+  the number of vertices it exhaustively visited (= the CC size).
+  Expected visits are O(min(T, 1/α)) per sketch (Thm. 3.1);
+- MC simulation (``baselines.simulate``) and RR sets
+  (``baselines.ris``) walk the whole component.
 
-- :class:`LocalEvaluator` — driver-side numpy; used where only
+``evaluate_batch`` is the one evaluation kernel — per-vertex mean δ over
+the R sketches, with the α=1 pure array path — and runs in two places:
+
+- :class:`LocalEvaluator` calls it on the driver; used where only
   *evaluation counts* matter (Table 5) and in unit tests;
-- :class:`SparkEvaluator` — one Spark job per evaluation **batch**: the
-  batch explodes into (vertex, sketch) rows, a ``mapInPandas`` kernel
-  evaluates them against the broadcast CSR + sketches, and the driver
-  averages per vertex. A 1-vertex batch is still a job — that is exactly
-  the sequential-CELF cost model of the baselines (DESIGN.md §2).
+- :class:`SparkEvaluator` calls it inside one ``mapInPandas`` job per
+  evaluation **batch**: the job uploads the batch's vertex ids, each task
+  evaluates its vertices on all R sketches against the broadcast CSR +
+  sketches. A 1-vertex batch is still a job — that is exactly the
+  sequential-CELF cost model of the baselines (DESIGN.md §2).
 
 ``MarkSeed`` always runs on the driver (it is O(R) tiny BFS runs) and
 its effect is shipped to tasks as a small set of zeroed (sketch, label)
@@ -32,6 +38,36 @@ from pyspark.sql import SparkSession
 from repro.core.sketches import Sketches
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SKETCH, u01
+
+
+def sampled_levels(
+    csr: CSR, probs: np.ndarray, sources: np.ndarray, salt: int
+) -> Iterator[np.ndarray]:
+    """BFS levels of the sampled graph G'_salt, ``sources`` first.
+
+    ``sources`` must hold distinct int64 vertex ids; every later level is
+    sorted and disjoint from all earlier ones. An arc is alive iff
+    ``u01(arc_key, salt) < probs`` — the same coin sketch construction
+    flips for that salt.
+    """
+    visited = np.zeros(csr.n, dtype=bool)
+    visited[sources] = True
+    frontier = sources
+    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
+    while frontier.size:
+        yield frontier
+        arc_idx = np.concatenate(
+            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
+        )
+        if arc_idx.size == 0:
+            return
+        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
+        nbrs = adj[arc_idx[alive]]
+        nbrs = nbrs[~visited[nbrs]]
+        if nbrs.size == 0:
+            return
+        frontier = np.unique(nbrs).astype(np.int64)
+        visited[frontier] = True
 
 
 def get_center(
@@ -51,31 +87,18 @@ def get_center(
     copy in place); ``zeroed_r`` additionally overrides labels zeroed
     since the arrays were broadcast (SparkEvaluator path).
     """
-    salt = SALT_SKETCH + r
     ci = center_index[v]
     if ci >= 0:  # v itself memoizes its CC — O(1), the α=1 fast path
         lab = int(labels[r, ci])
         delta = 0 if lab in zeroed_r else int(sizes[r, lab])
         return delta, lab, 1
-    visited = np.zeros(csr.n, dtype=bool)
-    visited[v] = True
-    frontier = np.array([v], dtype=np.int64)
+    levels = sampled_levels(
+        csr, probs, np.array([v], dtype=np.int64), SALT_SKETCH + r
+    )
+    next(levels)  # level 0 is v: not a center, its seed bit read below
     n_visited = 1
     seed_seen = bool(seeds_mask[v])
-    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
-    while frontier.size:
-        arc_idx = np.concatenate(
-            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
-        )
-        if arc_idx.size == 0:
-            break
-        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
-        nbrs = adj[arc_idx[alive]]
-        nbrs = nbrs[~visited[nbrs]]
-        if nbrs.size == 0:
-            break
-        fresh = np.unique(nbrs).astype(np.int64)
-        visited[fresh] = True
+    for fresh in levels:
         n_visited += len(fresh)
         cis = center_index[fresh]
         hits = cis[cis >= 0]
@@ -85,34 +108,46 @@ def get_center(
             return delta, lab, n_visited
         if not seed_seen and seeds_mask[fresh].any():
             seed_seen = True
-        frontier = fresh
     if seed_seen:  # whole CC traversed, a seed is inside: no gain
         return 0, -1, n_visited
     return n_visited, -1, n_visited  # CC size = #visited (no center, no seed)
 
 
-def _eval_pairs(
+def evaluate_batch(
     csr: CSR,
     probs: np.ndarray,
-    sk: Sketches,
+    center_index: np.ndarray,
+    labels: np.ndarray,
     sizes: np.ndarray,
     vs: np.ndarray,
-    rs: np.ndarray,
     seeds_mask: np.ndarray,
     zeroed: dict[int, frozenset[int]],
 ) -> tuple[np.ndarray, int]:
-    """δ for each (v, r) pair; returns (deltas, total BFS visits)."""
-    out = np.zeros(len(vs), dtype=np.float64)
+    """(per-vertex mean δ over the R sketches, total BFS visits).
+
+    ``zeroed`` maps a sketch id to the labels zeroed since ``sizes`` was
+    taken; those labels count as δ = 0 on every path.
+    """
+    R = labels.shape[0]
+    if labels.shape[1] == csr.n:
+        # α = 1: every vertex is a center; pure 2-D array lookup.
+        labs = labels[:, vs]  # (R, |vs|)
+        vals = sizes[np.arange(R)[:, None], labs]
+        for r, zs in zeroed.items():
+            vals[r, np.isin(labs[r], list(zs))] = 0
+        return vals.mean(axis=0), vals.size
+    deltas = np.zeros((len(vs), R), dtype=np.float64)
     visits = 0
     empty: frozenset[int] = frozenset()
-    for i, (v, r) in enumerate(zip(vs, rs)):
-        d, _, nv = get_center(
-            csr, probs, sk.center_index, sk.labels, sizes,
-            int(r), int(v), seeds_mask, zeroed.get(int(r), empty),
-        )
-        out[i] = d
-        visits += nv
-    return out, visits
+    for i, v in enumerate(vs):
+        for r in range(R):
+            d, _, nv = get_center(
+                csr, probs, center_index, labels, sizes,
+                r, int(v), seeds_mask, zeroed.get(r, empty),
+            )
+            deltas[i, r] = d
+            visits += nv
+    return deltas.mean(axis=1), visits
 
 
 class LocalEvaluator:
@@ -151,20 +186,12 @@ class LocalEvaluator:
         vs = np.asarray(vs, dtype=np.int64)
         self.n_reevals += len(vs)
         self.n_jobs += 1
-        if self._full_memo():
-            # α = 1: every vertex is a center; pure 2-D array lookup.
-            labs = self.sk.labels[:, vs]  # (R, |vs|)
-            vals = self.sizes[np.arange(self.sk.R)[:, None], labs]
-            self.n_visits += vals.size
-            return vals.mean(axis=0)
-        rs = np.tile(np.arange(self.sk.R), len(vs))
-        vv = np.repeat(vs, self.sk.R)
-        deltas, nv = _eval_pairs(
-            self.csr, self.probs, self.sk, self.sizes,
-            vv, rs, self.seeds_mask, {},
+        means, visits = evaluate_batch(
+            self.csr, self.probs, self.sk.center_index, self.sk.labels,
+            self.sizes, vs, self.seeds_mask, {},
         )
-        self.n_visits += nv
-        return deltas.reshape(len(vs), self.sk.R).mean(axis=1)
+        self.n_visits += visits
+        return means
 
     def mark_seed(self, v: int) -> None:
         """Paper's MarkSeed: zero the CC size of v's component on every
@@ -184,13 +211,17 @@ class LocalEvaluator:
         self.seeds.append(v)
         self.seeds_mask[v] = True
 
+    def close(self) -> None:
+        """Release what the evaluator holds outside the driver (nothing)."""
+
 
 class SparkEvaluator(LocalEvaluator):
-    """Evaluation batches dispatched as Spark jobs over (v, r) rows.
+    """Evaluation batches dispatched as Spark jobs over vertex ids.
 
     The CSR, probabilities, and pristine sketch arrays are broadcast at
-    construction; per-call state (current seeds, zeroed labels) travels
-    in the task closure — a few hundred integers at most.
+    construction and released by :meth:`close`; per-call state (current
+    seeds, zeroed labels) travels in the task closure — a few hundred
+    integers at most.
     """
 
     def __init__(
@@ -201,48 +232,40 @@ class SparkEvaluator(LocalEvaluator):
         self._bc = spark.sparkContext.broadcast(
             (csr, probs, sketches.center_index, sketches.labels, sketches.sizes)
         )
-        self._parallelism = spark.sparkContext.defaultParallelism
 
     def evaluate(self, vs: np.ndarray) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)
         self.n_reevals += len(vs)
         self.n_jobs += 1
-        R = self.sk.R
-        pairs = pd.DataFrame(
-            {"v": np.repeat(vs, R), "r": np.tile(np.arange(R), len(vs))}
-        )
         bc = self._bc
         seeds = np.array(self.seeds, dtype=np.int64)
         zeroed = {r: frozenset(ls) for r, ls in self.zeroed.items()}
-        sk = self.sk
 
         def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
             csr_b, probs_b, cidx_b, labels_b, sizes_b = bc.value
             mask = np.zeros(csr_b.n, dtype=bool)
             mask[seeds] = True
-            empty: frozenset[int] = frozenset()
             for pdf in batches:
-                deltas = np.zeros(len(pdf), dtype=np.float64)
-                visits = np.zeros(len(pdf), dtype=np.int64)
-                for i, (v, r) in enumerate(zip(pdf["v"].values, pdf["r"].values)):
-                    d, _, nv = get_center(
-                        csr_b, probs_b, cidx_b, labels_b, sizes_b,
-                        int(r), int(v), mask, zeroed.get(int(r), empty),
-                    )
-                    deltas[i] = d
-                    visits[i] = nv
-                yield pd.DataFrame(
-                    {"v": pdf["v"].values, "delta": deltas, "visits": visits}
+                means, visits = evaluate_batch(
+                    csr_b, probs_b, cidx_b, labels_b, sizes_b,
+                    pdf["v"].to_numpy(), mask, zeroed,
                 )
+                visits_col = np.zeros(len(means), dtype=np.int64)
+                visits_col[0] = visits  # the batch total, on its first row
+                yield pd.DataFrame({"delta": means, "visits": visits_col})
 
-        # Arrow-based createDataFrame already splits the pairs across
-        # defaultParallelism partitions; an explicit repartition would add
-        # a shuffle stage and dominate small-batch latency.
+        # Arrow-based createDataFrame already splits the vertices across
+        # defaultParallelism partitions and toPandas collects them in
+        # partition order, so rows come back in the order of ``vs``; an
+        # explicit repartition would add a shuffle stage and dominate
+        # small-batch latency.
         out = (
-            self.spark.createDataFrame(pairs)
-            .mapInPandas(kernel, schema="v long, delta double, visits long")
+            self.spark.createDataFrame(pd.DataFrame({"v": vs}))
+            .mapInPandas(kernel, schema="delta double, visits long")
             .toPandas()
         )
         self.n_visits += int(out["visits"].sum())
-        agg = out.groupby("v")["delta"].mean()
-        return agg.reindex(vs).to_numpy()
+        return out["delta"].to_numpy()
+
+    def close(self) -> None:
+        self._bc.destroy()

@@ -6,7 +6,8 @@ and analytic space accounting. The variant matrix of paper Tab. 2 is a
 parameter choice here:
 
 - ``alpha=1``  → InfuserMG-style full memoization;
-- ``alpha=0``  → StaticGreedy-style pure simulation;
+- ``alpha=0``  → StaticGreedy-style pure simulation (with
+  ``selector='celf'``, the StaticGreedy baseline itself);
 - ``0<alpha<1`` → PaC-IM compressed sketches;
 - ``selector`` ∈ {'celf', 'ptree', 'wintree'} — sequential vs parallel
   seed selection;
@@ -74,8 +75,11 @@ def run_pacim(
         )
         evaluator = LocalEvaluator(csr, probs, sketches)
     t1 = time.perf_counter()
-    sel = _SELECTORS[selector](evaluator, k, max_jobs=max_eval_jobs)
-    t2 = time.perf_counter()
+    try:
+        sel = _SELECTORS[selector](evaluator, k, max_jobs=max_eval_jobs)
+        t2 = time.perf_counter()
+    finally:
+        evaluator.close()
 
     return {
         "seeds": sel.seeds,

@@ -15,8 +15,6 @@ round in O(log |F_i|) parallel batches instead of |F_i| sequential ones.
 """
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from repro.core.celf import (
@@ -25,9 +23,6 @@ from repro.core.celf import (
     _check_budget,
     key,
 )
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-
 from repro.hashing import splitmix64
 
 

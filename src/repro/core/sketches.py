@@ -20,7 +20,6 @@ harvested here for free instead of running nR BFS evaluations later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
@@ -29,6 +28,7 @@ from pyspark.sql import SparkSession
 from repro.cc.local_cc import cc_labels
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SKETCH, u01
+from repro.spark_jobs import map_range
 
 
 @dataclass
@@ -147,36 +147,30 @@ def build_sketches(
 ) -> Sketches:
     """Distributed construction: one Spark task per sketch id.
 
-    The CSR + probabilities + centers are broadcast once; each task emits
-    one row per sketch with the center arrays as list columns (Arrow).
+    The CSR + probabilities + centers are broadcast once (and released
+    after the job); each task emits one row per sketch with the center
+    arrays as list columns (Arrow).
     """
     centers = choose_centers(csr.n, alpha, center_seed)
-    bc = spark.sparkContext.broadcast((csr, probs, centers))
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        csr_b, probs_b, centers_b = bc.value
-        for pdf in batches:
-            rows = []
-            for r in pdf["id"].astype(int):
-                lab_r, size_r, vsize_r = _one_sketch(csr_b, probs_b, centers_b, r)
-                rows.append(
-                    {
-                        "r": r,
-                        "labels": lab_r.tolist(),
-                        "sizes": size_r.tolist(),
-                        "vsizes": vsize_r.tolist(),
-                    }
-                )
-            if rows:
-                yield pd.DataFrame(rows)
+    def task(shared, ids: np.ndarray) -> pd.DataFrame:
+        csr_b, probs_b, centers_b = shared
+        rows = []
+        for r in ids.tolist():
+            lab_r, size_r, vsize_r = _one_sketch(csr_b, probs_b, centers_b, r)
+            rows.append(
+                {
+                    "r": r,
+                    "labels": lab_r.tolist(),
+                    "sizes": size_r.tolist(),
+                    "vsizes": vsize_r.tolist(),
+                }
+            )
+        return pd.DataFrame(rows)
 
-    out = (
-        spark.range(R)  # range already spreads ids over defaultParallelism
-        .mapInPandas(
-            kernel,
-            schema="r long, labels array<int>, sizes array<int>, vsizes array<int>",
-        )
-        .toPandas()
+    out = map_range(
+        spark, R, (csr, probs, centers), task,
+        "r long, labels array<int>, sizes array<int>, vsizes array<int>",
     )
     per = [
         (

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.cc.local_cc import bfs_component, cc_labels, cc_sizes
+from repro.cc.local_cc import cc_labels, cc_sizes
+from repro.core.evaluate import sampled_levels
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, grid2d
 
@@ -79,7 +80,9 @@ def test_bfs_component_matches_labels(source):
     edges = erdos_renyi(100, 200, seed=3)
     csr = build_csr(edges, n=100)
     lab = cc_labels(100, edges[:, 0], edges[:, 1])
-    comp = bfs_component(100, csr.neighbors, source)
+    all_alive = np.ones(len(csr.adj))
+    source_level = np.array([source], dtype=np.int64)
+    comp = np.concatenate(list(sampled_levels(csr, all_alive, source_level, 0)))
     assert sorted(comp) == sorted(np.flatnonzero(lab == lab[source]))
     assert len(np.unique(comp)) == len(comp)
 

@@ -9,7 +9,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.cc.dataframe_cc import dataframe_cc
 from repro.cc.local_cc import cc_labels
 from repro.core.sketches import build_sketches_local, sampled_arcs
 from repro.graphs.csr import build_csr
@@ -83,21 +82,19 @@ def test_sampled_edge_counts_per_sketch(spark, gdata):
 
 def test_cc_size_histogram(spark, gdata):
     """CC-size histogram of a sampled graph: Spark group-by over the
-    distributed CC labels vs DuckDB over the local labels."""
+    local CC labels vs DuckDB over the same labels."""
     edges, csr, probs = gdata
     us, vs = sampled_arcs(csr, probs, SALT_SKETCH + 2)
-    mask = us < vs
     lab_local = cc_labels(csr.n, us, vs)
-    edf = spark.createDataFrame(pd.DataFrame({"u": us[mask], "v": vs[mask]}))
-    lab_df = dataframe_cc(edf)
+    incident = np.unique(np.concatenate([us, vs]))
+    local_pdf = pd.DataFrame({"label": lab_local[incident]})
     hist = (
-        lab_df.groupBy("label")
+        spark.createDataFrame(local_pdf)
+        .groupBy("label")
         .agg(F.count("*").alias("cc_size"))
         .groupBy("cc_size")
         .agg(F.count("*").alias("n_components"))
     )
-    incident = np.unique(np.concatenate([us, vs]))
-    local_pdf = pd.DataFrame({"label": lab_local[incident]})
     assert_equivalent(
         hist,
         """

@@ -34,9 +34,10 @@ def test_sketch_build_parity(spark, graph, alpha):
     assert np.allclose(a.init_scores, b.init_scores)
 
 
-def test_evaluator_parity_through_seeding(spark, graph):
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_evaluator_parity_through_seeding(spark, graph, alpha):
     csr, probs = graph
-    sk = build_sketches_local(csr, probs, R=8, alpha=0.3)
+    sk = build_sketches_local(csr, probs, R=8, alpha=alpha)
     ev_s = SparkEvaluator(spark, csr, probs, sk)
     ev_l = LocalEvaluator(csr, probs, sk)
     vs = np.array([0, 3, 17, 200, 255])
@@ -47,6 +48,8 @@ def test_evaluator_parity_through_seeding(spark, graph):
         assert np.allclose(ev_s.evaluate(vs), ev_l.evaluate(vs))
     assert ev_s.n_reevals == ev_l.n_reevals
     assert ev_s.n_jobs == ev_l.n_jobs
+    assert ev_s.n_visits == ev_l.n_visits
+    ev_s.close()
 
 
 def test_selection_parity(spark, graph):

@@ -1,5 +1,4 @@
-"""Tests for the provided synth_data module and its IM extension."""
-import pytest
+"""Tests for the suite-graph DataFrame entrypoint."""
 from pyspark.sql import functions as F
 
 from repro import synth_data
@@ -20,18 +19,15 @@ def test_im_graph_deterministic(spark):
     assert a.equals(b)
 
 
-def test_tpch_lite_oracle_smoke(spark):
-    """The provided TPC-H-lite generator + oracle wiring stays healthy."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    agg = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("sum_qty"),
+def test_im_graph_oracle_smoke(spark):
+    """A Spark aggregation over a suite graph agrees with DuckDB."""
+    edges = synth_data.im_graph(spark, "ROAD-A")
+    agg = edges.groupBy("u").agg(
+        F.sum("v").alias("sum_v"),
         F.count("*").alias("cnt"),
     )
     assert_equivalent(
         agg,
-        """
-        SELECT l_returnflag, sum(l_quantity) AS sum_qty, count(*) AS cnt
-        FROM lineitem GROUP BY l_returnflag
-        """,
-        lineitem=li,
+        "SELECT u, sum(v) AS sum_v, count(*) AS cnt FROM edges GROUP BY u",
+        edges=edges,
     )
