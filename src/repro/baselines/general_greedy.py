@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.simulate import _spread_once
+from repro.baselines.simulate import _spreads
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SIM
 
@@ -20,15 +20,10 @@ def general_greedy(
 ) -> list[int]:
     """k seeds by MC greedy; ties broken by smaller vertex id."""
     seeds: list[int] = []
+    salts = SALT_SIM + sim_offset + np.arange(n_sims)
     for _ in range(k):
         base = (
-            sum(
-                _spread_once(
-                    csr, probs, np.asarray(seeds, dtype=np.int64),
-                    SALT_SIM + sim_offset + i,
-                )
-                for i in range(n_sims)
-            )
+            int(_spreads(csr, probs, np.asarray(seeds, dtype=np.int64), salts).sum())
             if seeds
             else 0
         )
@@ -37,10 +32,7 @@ def general_greedy(
             if v in seeds:
                 continue
             cand = np.asarray(seeds + [v], dtype=np.int64)
-            tot = sum(
-                _spread_once(csr, probs, cand, SALT_SIM + sim_offset + i)
-                for i in range(n_sims)
-            )
+            tot = int(_spreads(csr, probs, cand, salts).sum())
             gain = (tot - base) / n_sims
             if gain > best_gain:  # strict: first (smallest id) wins ties
                 best_v, best_gain = v, gain

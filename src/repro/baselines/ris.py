@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.evaluate import sampled_levels
+from repro.core.evaluate import block_levels, sampled_levels
 from repro.eval.space import ris_bytes
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_RR, u01
@@ -32,9 +32,32 @@ class RRBudgetExceeded(RuntimeError):
     """Projected RR-set storage exceeds the experiment's memory budget."""
 
 
-def _rr_root(i: int, offset: int, n: int) -> int:
-    """Deterministic uniform random root for RR set i."""
-    return int(u01(np.uint64(i), SALT_RR + offset + 0xBEEF) * n)
+# RR sets traversed together; the keys a block visits number block size
+# × component size.
+_RR_BLOCK = 256
+
+
+def _rr_root(i: int | np.ndarray, offset: int, n: int) -> np.int64 | np.ndarray:
+    """Deterministic uniform random root of RR set i (an id or an array)."""
+    return (u01(i, SALT_RR + offset + 0xBEEF) * n).astype(np.int64)
+
+
+def _rr_sets(
+    csr: CSR, probs: np.ndarray, ids: np.ndarray, offset: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rr_id, member) arrays of the RR sets ``ids``, in that order; each
+    set lists its root's CC in one live-edge sample level by level."""
+    salts = SALT_RR + offset + ids
+    roots = _rr_root(ids, offset, csr.n)
+    out_t, out_v = [], []
+    for lo in range(0, len(ids), _RR_BLOCK):
+        tids = np.arange(lo, min(lo + _RR_BLOCK, len(ids)))
+        levels = list(block_levels(csr, probs, tids, roots[tids], salts))
+        t = np.concatenate([t for t, _ in levels])
+        order = np.argsort(t, kind="stable")
+        out_t.append(t[order])
+        out_v.append(np.concatenate([v for _, v in levels])[order])
+    return ids[np.concatenate(out_t)], np.concatenate(out_v)
 
 
 def _rr_set(csr: CSR, probs: np.ndarray, salt: int, root: int) -> np.ndarray:
@@ -47,12 +70,7 @@ def generate_rr_sets_local(
     csr: CSR, probs: np.ndarray, theta: int, *, offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rr_id, member) arrays for θ RR sets, driver-side."""
-    ids, members = [], []
-    for i in range(theta):
-        rr = _rr_set(csr, probs, SALT_RR + offset + i, _rr_root(i, offset, csr.n))
-        ids.append(np.full(len(rr), i, dtype=np.int64))
-        members.append(rr)
-    return np.concatenate(ids), np.concatenate(members)
+    return _rr_sets(csr, probs, np.arange(theta), offset)
 
 
 def generate_rr_sets(
@@ -62,16 +80,8 @@ def generate_rr_sets(
 
     def task(shared, ids: np.ndarray) -> pd.DataFrame:
         csr_b, probs_b = shared
-        rr_ids, members = [], []
-        for i in ids.tolist():
-            rr = _rr_set(
-                csr_b, probs_b, SALT_RR + offset + i, _rr_root(i, offset, csr_b.n)
-            )
-            rr_ids.append(np.full(len(rr), i, dtype=np.int64))
-            members.append(rr)
-        return pd.DataFrame(
-            {"rr": np.concatenate(rr_ids), "v": np.concatenate(members)}
-        )
+        rr_ids, members = _rr_sets(csr_b, probs_b, ids, offset)
+        return pd.DataFrame({"rr": rr_ids, "v": members})
 
     out = map_range(spark, theta, (csr, probs), task, "rr long, v long")
     return out["rr"].to_numpy(), out["v"].to_numpy()

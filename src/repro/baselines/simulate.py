@@ -8,8 +8,9 @@ process outcome: a vertex activates iff a live path connects it to a
 seed.
 
 ``estimate_spread`` distributes the simulations (one Spark task per
-block of simulation ids); ``estimate_spread_local`` is the driver-side
-reference used by tests.
+range of simulation ids); ``estimate_spread_local`` is the driver-side
+reference used by tests. Both traverse a few simulations at a time as
+one batched BFS (:func:`repro.core.evaluate.block_levels`).
 """
 from __future__ import annotations
 
@@ -17,18 +18,39 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.evaluate import sampled_levels
+from repro.core.evaluate import block_levels
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SIM
 from repro.spark_jobs import map_range
+
+
+# Simulations traversed together. Each one walks its seeds' whole
+# component (the giant one on scale-free graphs), so a few already fill a
+# level, and visited keys — block size × component size — stay small.
+_SIM_BLOCK = 8
+
+
+def _spreads(
+    csr: CSR, probs: np.ndarray, seeds: np.ndarray, salts: np.ndarray
+) -> np.ndarray:
+    """#vertices activated from ``seeds`` in the sampled live-edge graph
+    of each salt."""
+    sources = np.unique(seeds)
+    counts = np.zeros(len(salts), dtype=np.int64)
+    for lo in range(0, len(salts), _SIM_BLOCK):
+        block = salts[lo : lo + _SIM_BLOCK]
+        tids = np.repeat(np.arange(len(block)), len(sources))
+        verts = np.tile(sources, len(block))
+        for t, _ in block_levels(csr, probs, tids, verts, block):
+            counts[lo : lo + len(block)] += np.bincount(t, minlength=len(block))
+    return counts
 
 
 def _spread_once(
     csr: CSR, probs: np.ndarray, seeds: np.ndarray, salt: int
 ) -> int:
     """#vertices activated from ``seeds`` in one sampled live-edge graph."""
-    levels = sampled_levels(csr, probs, np.unique(seeds), salt)
-    return sum(len(level) for level in levels)
+    return int(_spreads(csr, probs, seeds, np.array([salt]))[0])
 
 
 def estimate_spread_local(
@@ -43,11 +65,8 @@ def estimate_spread_local(
     seeds = np.asarray(list(seeds), dtype=np.int64)
     if seeds.size == 0:
         return 0.0
-    total = sum(
-        _spread_once(csr, probs, seeds, SALT_SIM + sim_offset + i)
-        for i in range(n_sims)
-    )
-    return total / n_sims
+    salts = SALT_SIM + sim_offset + np.arange(n_sims)
+    return int(_spreads(csr, probs, seeds, salts).sum()) / n_sims
 
 
 def estimate_spread(
@@ -66,10 +85,7 @@ def estimate_spread(
 
     def task(shared, ids: np.ndarray) -> pd.DataFrame:
         csr_b, probs_b = shared
-        counts = [
-            _spread_once(csr_b, probs_b, seeds, SALT_SIM + sim_offset + i)
-            for i in ids.tolist()
-        ]
+        counts = _spreads(csr_b, probs_b, seeds, SALT_SIM + sim_offset + ids)
         return pd.DataFrame({"spread": counts})
 
     out = map_range(spark, n_sims, (csr, probs), task, "spread long")

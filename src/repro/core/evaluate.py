@@ -1,19 +1,26 @@
 """Marginal-gain evaluation (paper Alg. 3: GetCenter / Marginal / MarkSeed).
 
-Every traversal in the repo is :func:`sampled_levels`: a level-by-level
-BFS on the hash-reconstructed sampled graph G'_salt. Its consumers differ
-only in their stop rule and salt stream:
+Every traversal in the repo is a level-synchronous BFS over a **block**
+of traversals at once, each on its own hash-reconstructed sampled graph
+G'_salt (the multi-source BFS of Then et al., "The More the Merrier"):
+:func:`next_level` is the one step that expands a frontier of
+(traversal id, vertex) pairs — one CSR gather and one ``u01`` call for
+the whole block — and :func:`block_levels` iterates it. The traversals
+differ only in their sources, salt stream and stop rule:
 
-- ``get_center`` (sketch stream) stops at the first level holding a
-  center and returns the memoized CC size for that center's label,
-  returns 0 if the CC turns out to contain a seed, and otherwise returns
-  the number of vertices it exhaustively visited (= the CC size).
-  Expected visits are O(min(T, 1/α)) per sketch (Thm. 3.1);
+- GetCenter (sketch stream) runs one traversal per (vertex, sketch)
+  pair. A pair settles at the first level holding a center and takes the
+  memoized CC size for that center's label; a pair that exhausts its CC
+  gets 0 if the CC contains a seed, and otherwise the number of vertices
+  it visited (= the CC size). Expected visits are O(min(T, 1/α)) per
+  pair (Thm. 3.1);
 - MC simulation (``baselines.simulate``) and RR sets
-  (``baselines.ris``) walk the whole component.
+  (``baselines.ris``) walk whole components, a block of simulation or
+  RR ids at a time.
 
 ``evaluate_batch`` is the one evaluation kernel — per-vertex mean δ over
-the R sketches, with the α=1 pure array path — and runs in two places:
+the R sketches; pairs whose source is a center (every pair at α=1)
+settle at level 0 without a traversal — and runs in two places:
 
 - :class:`LocalEvaluator` calls it on the driver; used where only
   *evaluation counts* matter (Table 5) and in unit tests;
@@ -23,9 +30,9 @@ the R sketches, with the α=1 pure array path — and runs in two places:
   sketches. A 1-vertex batch is still a job — that is exactly the
   sequential-CELF cost model of the baselines (DESIGN.md §2).
 
-``MarkSeed`` always runs on the driver (it is O(R) tiny BFS runs) and
-its effect is shipped to tasks as a small set of zeroed (sketch, label)
-pairs, so the broadcast sketch arrays stay immutable.
+``MarkSeed`` always runs on the driver (it is R single-pair GetCenter
+calls) and its effect is shipped to tasks as a small set of zeroed
+(sketch, label) pairs, so the broadcast sketch arrays stay immutable.
 """
 from __future__ import annotations
 
@@ -39,6 +46,62 @@ from repro.core.sketches import Sketches
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SKETCH, u01
 
+# (vertex, sketch) pairs traversed together. A block pays its numpy calls
+# once per level for all its pairs, but merges each level into visited
+# keys that grow with the block; without blocks, a batch of long (α=0)
+# traversals ran slower than one pair at a time.
+_PAIR_BLOCK = 256
+
+
+def next_level(
+    csr: CSR,
+    probs: np.ndarray,
+    tids: np.ndarray,
+    verts: np.ndarray,
+    salts: np.ndarray,
+    visited: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One BFS step of a block of traversals: (tids, verts, visited).
+
+    ``(tids, verts)`` is the frontier, int64. Traversal t walks the sampled graph of ``salts[t]``: an
+    arc is alive iff ``u01(arc_key, salts[t]) < probs`` — the coin sketch
+    construction flips for that salt. ``visited`` is the sorted array of
+    keys ``t * n + v`` of every vertex a traversal has reached. Returns
+    the next level of every traversal, ordered the same way, and the
+    visited keys grown by it.
+    """
+    n, indptr = csr.n, csr.indptr
+    starts = indptr[verts]
+    deg = indptr[verts + 1] - starts
+    ends = np.cumsum(deg)
+    arc = np.arange(ends[-1]) + np.repeat(starts - (ends - deg), deg)
+    arc_t = np.repeat(tids, deg)
+    alive = u01(csr.arc_key[arc], salts[arc_t]) < probs[arc]
+    keys = np.unique(arc_t[alive] * n + csr.adj[arc[alive]])
+    pos = np.searchsorted(visited, keys)
+    old = visited[np.minimum(pos, len(visited) - 1)] == keys
+    fresh, pos = keys[~old], pos[~old]
+    return fresh // n, fresh % n, np.insert(visited, pos, fresh)
+
+
+def block_levels(
+    csr: CSR,
+    probs: np.ndarray,
+    tids: np.ndarray,
+    verts: np.ndarray,
+    salts: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """BFS levels ``(tids, verts)`` of a block of traversals, sources first.
+
+    The sources are distinct (traversal id, vertex) pairs ordered by
+    traversal id; every later level is ordered by traversal id, then
+    vertex, and disjoint from the traversal's earlier levels.
+    """
+    visited = np.sort(tids * csr.n + verts)
+    while tids.size:
+        yield tids, verts
+        tids, verts, visited = next_level(csr, probs, tids, verts, salts, visited)
+
 
 def sampled_levels(
     csr: CSR, probs: np.ndarray, sources: np.ndarray, salt: int
@@ -46,28 +109,65 @@ def sampled_levels(
     """BFS levels of the sampled graph G'_salt, ``sources`` first.
 
     ``sources`` must hold distinct int64 vertex ids; every later level is
-    sorted and disjoint from all earlier ones. An arc is alive iff
-    ``u01(arc_key, salt) < probs`` — the same coin sketch construction
-    flips for that salt.
+    sorted and disjoint from all earlier ones. One traversal of
+    :func:`block_levels`.
     """
-    visited = np.zeros(csr.n, dtype=bool)
-    visited[sources] = True
-    frontier = sources
-    indptr, adj, arc_key = csr.indptr, csr.adj, csr.arc_key
-    while frontier.size:
-        yield frontier
-        arc_idx = np.concatenate(
-            [np.arange(indptr[f], indptr[f + 1]) for f in frontier]
-        )
-        if arc_idx.size == 0:
-            return
-        alive = u01(arc_key[arc_idx], salt) < probs[arc_idx]
-        nbrs = adj[arc_idx[alive]]
-        nbrs = nbrs[~visited[nbrs]]
-        if nbrs.size == 0:
-            return
-        frontier = np.unique(nbrs).astype(np.int64)
-        visited[frontier] = True
+    tids = np.zeros(len(sources), dtype=np.int64)
+    for _, level in block_levels(csr, probs, tids, sources, np.array([salt])):
+        yield level
+
+
+def _get_centers(
+    csr: CSR,
+    probs: np.ndarray,
+    center_index: np.ndarray,
+    labels: np.ndarray,
+    seeds_mask: np.ndarray,
+    vs: np.ndarray,
+    rs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GetCenter for every pair (vertex ``vs[i]``, sketch ``rs[i]``).
+
+    Returns per pair: the CC label of the first BFS level holding a
+    center, or -1 if the CC has none; the vertices visited up to and
+    including that level (the whole CC when there is no center); and
+    whether a seed was among them.
+    """
+    # Level 0: a source that is a center memoizes its CC — the O(1) path
+    # every pair takes at α=1.
+    ci = center_index[vs]
+    at_center = ci >= 0
+    lab = np.full(len(vs), -1, dtype=np.int64)
+    lab[at_center] = labels[rs[at_center], ci[at_center]]
+    visits = np.ones(len(vs), dtype=np.int64)
+    seen = seeds_mask[vs]
+    salts = SALT_SKETCH + rs
+
+    def settle(tids, verts):
+        """Count one level; settle the pairs it gives a center, keep the rest.
+
+        All vertices of a pair's level share its CC, and every center of
+        a CC carries the CC's label, so any center of the level will do.
+        """
+        first = np.flatnonzero(np.diff(tids, prepend=-1))
+        t, counts = tids[first], np.diff(first, append=len(tids))
+        visits[t] += counts
+        seen[t] |= np.logical_or.reduceat(seeds_mask[verts], first)
+        best = np.maximum.reduceat(center_index[verts], first)
+        hit = best >= 0
+        lab[t[hit]] = labels[rs[t[hit]], best[hit]]
+        keep = np.repeat(~hit, counts)
+        return tids[keep], verts[keep]
+
+    todo = np.flatnonzero(~at_center)
+    for lo in range(0, len(todo), _PAIR_BLOCK):
+        t = todo[lo : lo + _PAIR_BLOCK]
+        v = vs[t]
+        visited = t * csr.n + v
+        while t.size:
+            t, v, visited = next_level(csr, probs, t, v, salts, visited)
+            t, v = settle(t, v)
+    return lab, visits, seen
 
 
 def get_center(
@@ -87,30 +187,14 @@ def get_center(
     copy in place); ``zeroed_r`` additionally overrides labels zeroed
     since the arrays were broadcast (SparkEvaluator path).
     """
-    ci = center_index[v]
-    if ci >= 0:  # v itself memoizes its CC — O(1), the α=1 fast path
-        lab = int(labels[r, ci])
-        delta = 0 if lab in zeroed_r else int(sizes[r, lab])
-        return delta, lab, 1
-    levels = sampled_levels(
-        csr, probs, np.array([v], dtype=np.int64), SALT_SKETCH + r
+    lab, visits, seen = _get_centers(
+        csr, probs, center_index, labels, seeds_mask,
+        np.array([v], dtype=np.int64), np.array([r], dtype=np.int64),
     )
-    next(levels)  # level 0 is v: not a center, its seed bit read below
-    n_visited = 1
-    seed_seen = bool(seeds_mask[v])
-    for fresh in levels:
-        n_visited += len(fresh)
-        cis = center_index[fresh]
-        hits = cis[cis >= 0]
-        if hits.size:  # a center is reached: adopt its memoized CC info
-            lab = int(labels[r, hits[0]])
-            delta = 0 if lab in zeroed_r else int(sizes[r, lab])
-            return delta, lab, n_visited
-        if not seed_seen and seeds_mask[fresh].any():
-            seed_seen = True
-    if seed_seen:  # whole CC traversed, a seed is inside: no gain
-        return 0, -1, n_visited
-    return n_visited, -1, n_visited  # CC size = #visited (no center, no seed)
+    lab, nv = int(lab[0]), int(visits[0])
+    if lab >= 0:
+        return (0 if lab in zeroed_r else int(sizes[r, lab])), lab, nv
+    return (0 if seen[0] else nv), -1, nv
 
 
 def evaluate_batch(
@@ -126,28 +210,21 @@ def evaluate_batch(
     """(per-vertex mean δ over the R sketches, total BFS visits).
 
     ``zeroed`` maps a sketch id to the labels zeroed since ``sizes`` was
-    taken; those labels count as δ = 0 on every path.
+    taken; those labels count as δ = 0.
     """
     R = labels.shape[0]
-    if labels.shape[1] == csr.n:
-        # α = 1: every vertex is a center; pure 2-D array lookup.
-        labs = labels[:, vs]  # (R, |vs|)
-        vals = sizes[np.arange(R)[:, None], labs]
-        for r, zs in zeroed.items():
-            vals[r, np.isin(labs[r], list(zs))] = 0
-        return vals.mean(axis=0), vals.size
-    deltas = np.zeros((len(vs), R), dtype=np.float64)
-    visits = 0
-    empty: frozenset[int] = frozenset()
-    for i, v in enumerate(vs):
-        for r in range(R):
-            d, _, nv = get_center(
-                csr, probs, center_index, labels, sizes,
-                r, int(v), seeds_mask, zeroed.get(r, empty),
-            )
-            deltas[i, r] = d
-            visits += nv
-    return deltas.mean(axis=1), visits
+    zmask = np.zeros(labels.shape, dtype=bool)
+    for r, zs in zeroed.items():
+        zmask[r, list(zs)] = True
+    rs = np.tile(np.arange(R), len(vs))
+    lab, visits, seen = _get_centers(
+        csr, probs, center_index, labels, seeds_mask, np.repeat(vs, R), rs
+    )
+    deltas = np.where(seen, 0, visits).astype(np.float64)
+    hit = lab >= 0
+    rs, lab = rs[hit], lab[hit]
+    deltas[hit] = np.where(zmask[rs, lab], 0, sizes[rs, lab])
+    return deltas.reshape(len(vs), R).mean(axis=1), int(visits.sum())
 
 
 class LocalEvaluator:

@@ -56,6 +56,20 @@ def run_pacim(
     driver-side (used where only counts matter).
     """
     csr = graph if isinstance(graph, CSR) else build_csr(graph)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+    if R < 1:
+        raise ValueError(f"R must be at least 1, got {R!r}")
+    if not 1 <= k <= csr.n:
+        raise ValueError(f"k must be in [1, n={csr.n}], got {k!r}")
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != csr.adj.shape:
+        raise ValueError(
+            f"probs must hold one value per arc ({len(csr.adj)}), "
+            f"got shape {probs.shape}"
+        )
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
+        raise ValueError("probs must be finite and in [0, 1]")
     if selector not in _SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     if backend not in ("local", "spark"):

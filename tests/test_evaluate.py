@@ -3,12 +3,17 @@ import numpy as np
 import pytest
 
 from repro.cc.local_cc import cc_labels
-from repro.core.evaluate import LocalEvaluator, get_center
+from repro.core.evaluate import (
+    _PAIR_BLOCK,
+    LocalEvaluator,
+    evaluate_batch,
+    get_center,
+)
 from repro.core.sketches import build_sketches_local, sampled_arcs
 from repro.graphs.csr import build_csr
 from repro.graphs.probs import consistent_probs
 from repro.hashing import SALT_SKETCH
-from tests.conftest import brute_marginal
+from tests.conftest import GRAPH_CASES, brute_marginal
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3, 1.0])
@@ -150,3 +155,42 @@ def test_monotone_nonincreasing_under_seeding(er_setup):
     ev.mark_seed(42)
     after = ev.evaluate(vs)
     assert (after <= before + 1e-12).all()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("graph", ["rmat", "grid"])
+def test_blocked_batch_matches_singles_and_brute_force(graph, alpha):
+    """One batch whose traversals span several blocks gives every vertex
+    the δ and visits it gets alone, on both the mutated-sizes path and the
+    pristine-sizes + zeroed-labels path."""
+    gen, n, p = GRAPH_CASES[graph]
+    csr = build_csr(gen(), n=n)
+    probs = consistent_probs(csr, p)
+    R = 24
+    sk = build_sketches_local(csr, probs, R=R, alpha=alpha)
+    ev = LocalEvaluator(csr, probs, sk)
+    seeds = [1, n // 2]
+    for s in seeds:
+        ev.mark_seed(s)
+    vs = np.arange(0, n, 3)
+    assert R * (sk.center_index[vs] < 0).sum() > 2 * _PAIR_BLOCK  # >= 3 blocks
+
+    visits0 = ev.n_visits
+    batch = ev.evaluate(vs)
+    batch_visits = ev.n_visits - visits0
+    singles, single_visits = [], 0
+    for v in vs:
+        visits0 = ev.n_visits
+        singles.append(ev.evaluate(np.array([v]))[0])
+        single_visits += ev.n_visits - visits0
+    assert batch.tolist() == singles
+    assert batch_visits == single_visits
+    assert batch.tolist() == [brute_marginal(csr, probs, R, v, seeds) for v in vs]
+
+    zeroed = {r: frozenset(ls) for r, ls in ev.zeroed.items()}
+    pristine = evaluate_batch(csr, probs, sk.center_index, sk.labels, sk.sizes,
+                              vs, ev.seeds_mask, zeroed)
+    mutated = evaluate_batch(csr, probs, sk.center_index, sk.labels, ev.sizes,
+                             vs, ev.seeds_mask, {})
+    assert pristine[0].tolist() == mutated[0].tolist() == batch.tolist()
+    assert pristine[1] == mutated[1] == batch_visits

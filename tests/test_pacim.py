@@ -117,3 +117,32 @@ def test_quality_beats_random_seeds(graph):
             total += ev.evaluate(np.array([v]))[0]
             ev.mark_seed(int(v))
         assert res["est_influence"] >= total
+
+
+
+@pytest.mark.parametrize(
+    "key, bad, match",
+    [
+        ("alpha", 1.5, "alpha"),
+        ("alpha", -0.2, "alpha"),
+        ("R", 0, "R must"),
+        ("k", 0, "k must"),
+        ("k", 251, "k must"),
+        ("probs", lambda p: p[:-1], "one value per arc"),
+        ("probs", 1.7, "one value per arc"),
+        ("probs", lambda p: np.r_[np.nan, p[1:]], "finite"),
+        ("probs", lambda p: np.full_like(p, 1.7), "finite"),
+        ("probs", lambda p: np.full_like(p, -0.1), "finite"),
+    ],
+    ids=["alpha-high", "alpha-negative", "R-zero", "k-zero", "k-above-n",
+         "probs-short", "probs-scalar", "probs-nan", "probs-above-1",
+         "probs-negative"],
+)
+def test_rejects_bad_arguments(graph, key, bad, match):
+    """Bad α / R / k / probabilities fail at the boundary with a clear
+    message, not deep inside numpy or as NaN gains."""
+    csr, probs = graph
+    args = {"R": 4, "alpha": 0.5, "k": 2, "probs": probs}
+    args[key] = bad(probs) if callable(bad) else bad
+    with pytest.raises(ValueError, match=match):
+        run_pacim(None, csr, backend="local", **args)

@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines.simulate import _spread_once, estimate_spread_local
+from repro.baselines.simulate import (
+    _SIM_BLOCK,
+    _spread_once,
+    estimate_spread_local,
+)
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.probs import consistent_probs
@@ -93,3 +97,21 @@ def test_spread_once_deterministic():
     probs = consistent_probs(csr, 0.3)
     seeds = np.array([1, 2])
     assert _spread_once(csr, probs, seeds, 7) == _spread_once(csr, probs, seeds, 7)
+
+
+@pytest.mark.parametrize("sim_offset", [0, 5])
+def test_blocked_simulations_equal_single_ones(sim_offset):
+    # Simulations run a block at a time; a partial last block must not
+    # change any of them.
+    csr = build_csr(erdos_renyi(120, 300, seed=6), n=120)
+    probs = consistent_probs(csr, 0.25)
+    seeds = np.array([40, 3, 77])
+    n_sims = 2 * _SIM_BLOCK + 3
+    singles = [
+        _spread_once(csr, probs, seeds, SALT_SIM + sim_offset + i)
+        for i in range(n_sims)
+    ]
+    est = estimate_spread_local(csr, probs, seeds, n_sims=n_sims,
+                                sim_offset=sim_offset)
+    assert est == sum(singles) / n_sims
+    assert len(set(singles)) > 1  # the simulations really differ
