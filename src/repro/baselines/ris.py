@@ -24,6 +24,7 @@ from pyspark.sql import SparkSession
 from repro.core.evaluate import block_levels, sampled_levels
 from repro.eval.space import ris_bytes
 from repro.graphs.csr import CSR
+from repro.graphs.probs import check_probs
 from repro.hashing import SALT_RR, u01
 from repro.spark_jobs import map_range
 
@@ -92,8 +93,9 @@ def greedy_max_cover(
 ) -> tuple[list[int], float]:
     """Greedy maximum coverage; returns (seeds, covered fraction).
 
-    Ties break toward the smallest vertex id (np.argmax returns the
-    first maximum), matching the selector convention elsewhere.
+    Ties break toward the smallest vertex id not chosen yet (np.argmax
+    returns the first maximum, and a chosen seed's count drops to -1),
+    matching the selector convention elsewhere.
     """
     alive = np.ones(len(members), dtype=bool)
     cover_count = np.bincount(members, minlength=n)
@@ -102,6 +104,7 @@ def greedy_max_cover(
     for _ in range(min(k, n)):
         s = int(np.argmax(cover_count))
         seeds.append(s)
+        cover_count[s] = -1  # its rows die below, so it stays -1
         rows_s = alive & (members == s)
         rrs = np.unique(rr_ids[rows_s])
         covered[rrs] = True
@@ -136,6 +139,15 @@ def run_ris(
     Raises :class:`RRBudgetExceeded` if the projected RR storage blows
     the budget (the '-' entries of paper Tab. 4).
     """
+    if not 1 <= k <= csr.n:
+        raise ValueError(f"k must be in [1, n={csr.n}], got {k!r}")
+    probs = check_probs(csr, probs)
+    if not eps > 0:  # NaN fails too
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    if pilot_theta < 1:
+        raise ValueError(f"pilot_theta must be at least 1, got {pilot_theta!r}")
+    if backend not in ("local", "spark"):
+        raise ValueError(f"unknown backend {backend!r}")
     gen = (
         (lambda th, off: generate_rr_sets(spark, csr, probs, th, offset=off))
         if backend == "spark"

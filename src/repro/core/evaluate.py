@@ -24,15 +24,17 @@ settle at level 0 without a traversal — and runs in two places:
 
 - :class:`LocalEvaluator` calls it on the driver; used where only
   *evaluation counts* matter (Table 5) and in unit tests;
-- :class:`SparkEvaluator` calls it inside one ``mapInPandas`` job per
-  evaluation **batch**: the job uploads the batch's vertex ids, each task
-  evaluates its vertices on all R sketches against the broadcast CSR +
-  sketches. A 1-vertex batch is still a job — that is exactly the
-  sequential-CELF cost model of the baselines (DESIGN.md §2).
+- :class:`SparkEvaluator` calls it inside one Spark job per evaluation
+  **batch**, through ``spark_jobs.map_ids`` like every other Spark job:
+  ``spark.range`` over the batch positions, the batch itself in the task
+  closure, each task evaluating its vertices on all R sketches against
+  the broadcast CSR + sketches. A 1-vertex batch is still a job — that is
+  exactly the sequential-CELF cost model of the baselines (DESIGN.md §2).
 
-``MarkSeed`` always runs on the driver (it is R single-pair GetCenter
-calls) and its effect is shipped to tasks as a small set of zeroed
-(sketch, label) pairs, so the broadcast sketch arrays stay immutable.
+Both read the pristine sketch arrays. ``MarkSeed`` always runs on the
+driver (it is R single-pair GetCenter calls) and records its effect in
+one (R, ρ) bool mask of zeroed labels, which ``evaluate_batch`` applies
+and Spark tasks rebuild from its flat indices.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from pyspark.sql import SparkSession
 from repro.core.sketches import Sketches
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SKETCH, u01
+from repro.spark_jobs import map_ids
 
 # (vertex, sketch) pairs traversed together. A block pays its numpy calls
 # once per level for all its pairs, but merges each level into visited
@@ -179,13 +182,11 @@ def get_center(
     r: int,
     v: int,
     seeds_mask: np.ndarray,
-    zeroed_r: set[int] | frozenset[int],
 ) -> tuple[int, int, int]:
     """(marginal δ of v on sketch r, CC label or -1, #BFS visits).
 
-    ``sizes`` may already have zeroed entries (LocalEvaluator mutates its
-    copy in place); ``zeroed_r`` additionally overrides labels zeroed
-    since the arrays were broadcast (SparkEvaluator path).
+    δ reads ``sizes`` as given: labels zeroed by MarkSeed are applied by
+    :func:`evaluate_batch`, not here.
     """
     lab, visits, seen = _get_centers(
         csr, probs, center_index, labels, seeds_mask,
@@ -193,7 +194,7 @@ def get_center(
     )
     lab, nv = int(lab[0]), int(visits[0])
     if lab >= 0:
-        return (0 if lab in zeroed_r else int(sizes[r, lab])), lab, nv
+        return int(sizes[r, lab]), lab, nv
     return (0 if seen[0] else nv), -1, nv
 
 
@@ -205,17 +206,14 @@ def evaluate_batch(
     sizes: np.ndarray,
     vs: np.ndarray,
     seeds_mask: np.ndarray,
-    zeroed: dict[int, frozenset[int]],
+    zeroed: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """(per-vertex mean δ over the R sketches, total BFS visits).
 
-    ``zeroed`` maps a sketch id to the labels zeroed since ``sizes`` was
-    taken; those labels count as δ = 0.
+    ``zeroed`` is the (R, ρ) mask of labels whose CC holds a seed; those
+    labels count as δ = 0 whatever ``sizes`` says.
     """
     R = labels.shape[0]
-    zmask = np.zeros(labels.shape, dtype=bool)
-    for r, zs in zeroed.items():
-        zmask[r, list(zs)] = True
     rs = np.tile(np.arange(R), len(vs))
     lab, visits, seen = _get_centers(
         csr, probs, center_index, labels, seeds_mask, np.repeat(vs, R), rs
@@ -223,40 +221,34 @@ def evaluate_batch(
     deltas = np.where(seen, 0, visits).astype(np.float64)
     hit = lab >= 0
     rs, lab = rs[hit], lab[hit]
-    deltas[hit] = np.where(zmask[rs, lab], 0, sizes[rs, lab])
+    deltas[hit] = np.where(zeroed[rs, lab], 0, sizes[rs, lab])
     return deltas.reshape(len(vs), R).mean(axis=1), int(visits.sum())
 
 
 class LocalEvaluator:
-    """Driver-side evaluator; mutates its own copy of the size arrays.
+    """Driver-side evaluator over the pristine sketch arrays.
 
-    Counters: ``n_reevals`` (total vertices re-evaluated — the paper's
-    Table 5 quantity), ``n_jobs`` (evaluation batches — the parallel-
-    rounds / span proxy), ``n_visits`` (BFS visits — Thm. 3.1 quantity).
+    MarkSeed state is ``seeds``/``seeds_mask`` and ``zeroed``, the (R, ρ)
+    mask of labels whose CC holds a seed. Counters: ``n_reevals`` (total
+    vertices re-evaluated — the paper's Table 5 quantity), ``n_jobs``
+    (evaluation batches — the parallel-rounds / span proxy), ``n_visits``
+    (BFS visits — Thm. 3.1 quantity).
     """
 
     def __init__(self, csr: CSR, probs: np.ndarray, sketches: Sketches):
         self.csr = csr
         self.probs = probs
         self.sk = sketches
-        self.sizes = sketches.sizes.copy()
         self.seeds: list[int] = []
         self.seeds_mask = np.zeros(csr.n, dtype=bool)
-        self.zeroed: dict[int, set[int]] = {}
+        self.zeroed = np.zeros(sketches.sizes.shape, dtype=bool)
         self.n_reevals = 0
         self.n_jobs = 0
         self.n_visits = 0
 
-    @property
-    def n(self) -> int:
-        return self.csr.n
-
     def init_scores(self) -> np.ndarray:
         """Marginal(∅, v) for all v — harvested at sketch construction."""
         return self.sk.init_scores.copy()
-
-    def _full_memo(self) -> bool:
-        return self.sk.rho == self.csr.n
 
     def evaluate(self, vs: np.ndarray) -> np.ndarray:
         """True marginal gains of a batch; one parallel round."""
@@ -265,26 +257,23 @@ class LocalEvaluator:
         self.n_jobs += 1
         means, visits = evaluate_batch(
             self.csr, self.probs, self.sk.center_index, self.sk.labels,
-            self.sizes, vs, self.seeds_mask, {},
+            self.sk.sizes, vs, self.seeds_mask, self.zeroed,
         )
         self.n_visits += visits
         return means
 
     def mark_seed(self, v: int) -> None:
-        """Paper's MarkSeed: zero the CC size of v's component on every
-        sketch whose CC has a center; record the zeroed labels so Spark
-        tasks (reading the immutable broadcast) can apply the override."""
+        """Paper's MarkSeed: zero the CC of v on every sketch whose CC
+        has a center, by marking its label in ``zeroed``."""
         v = int(v)
-        empty: frozenset[int] = frozenset()
         for r in range(self.sk.R):
             _, lab, nv = get_center(
                 self.csr, self.probs, self.sk.center_index,
-                self.sk.labels, self.sizes, r, v, self.seeds_mask, empty,
+                self.sk.labels, self.sk.sizes, r, v, self.seeds_mask,
             )
             self.n_visits += nv
             if lab >= 0:
-                self.sizes[r, lab] = 0
-                self.zeroed.setdefault(r, set()).add(int(lab))
+                self.zeroed[r, lab] = True
         self.seeds.append(v)
         self.seeds_mask[v] = True
 
@@ -293,11 +282,12 @@ class LocalEvaluator:
 
 
 class SparkEvaluator(LocalEvaluator):
-    """Evaluation batches dispatched as Spark jobs over vertex ids.
+    """Evaluation batches dispatched as Spark jobs over batch positions.
 
-    The CSR, probabilities, and pristine sketch arrays are broadcast at
-    construction and released by :meth:`close`; per-call state (current
-    seeds, zeroed labels) travels in the task closure — a few hundred
+    ``(csr, probs, sketches)`` is broadcast once at construction and
+    released by :meth:`close`. Each job runs through
+    :func:`repro.spark_jobs.map_ids`; its closure carries the batch, the
+    seed ids and the flat indices of the zeroed labels — a few hundred
     integers at most.
     """
 
@@ -306,41 +296,30 @@ class SparkEvaluator(LocalEvaluator):
     ):
         super().__init__(csr, probs, sketches)
         self.spark = spark
-        self._bc = spark.sparkContext.broadcast(
-            (csr, probs, sketches.center_index, sketches.labels, sketches.sizes)
-        )
+        self._bc = spark.sparkContext.broadcast((csr, probs, sketches))
 
     def evaluate(self, vs: np.ndarray) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)
         self.n_reevals += len(vs)
         self.n_jobs += 1
-        bc = self._bc
         seeds = np.array(self.seeds, dtype=np.int64)
-        zeroed = {r: frozenset(ls) for r, ls in self.zeroed.items()}
+        zeroed = np.flatnonzero(self.zeroed)
 
-        def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            csr_b, probs_b, cidx_b, labels_b, sizes_b = bc.value
-            mask = np.zeros(csr_b.n, dtype=bool)
-            mask[seeds] = True
-            for pdf in batches:
-                means, visits = evaluate_batch(
-                    csr_b, probs_b, cidx_b, labels_b, sizes_b,
-                    pdf["v"].to_numpy(), mask, zeroed,
-                )
-                visits_col = np.zeros(len(means), dtype=np.int64)
-                visits_col[0] = visits  # the batch total, on its first row
-                yield pd.DataFrame({"delta": means, "visits": visits_col})
+        def task(shared, pos: np.ndarray) -> pd.DataFrame:
+            csr, probs, sk = shared
+            seeds_mask = np.zeros(csr.n, dtype=bool)
+            seeds_mask[seeds] = True
+            zmask = np.zeros(sk.sizes.shape, dtype=bool)
+            zmask.flat[zeroed] = True
+            means, visits = evaluate_batch(
+                csr, probs, sk.center_index, sk.labels, sk.sizes,
+                vs[pos], seeds_mask, zmask,
+            )
+            visits_col = np.zeros(len(pos), dtype=np.int64)
+            visits_col[:1] = visits  # the block total, on its first row
+            return pd.DataFrame({"delta": means, "visits": visits_col})
 
-        # Arrow-based createDataFrame already splits the vertices across
-        # defaultParallelism partitions and toPandas collects them in
-        # partition order, so rows come back in the order of ``vs``; an
-        # explicit repartition would add a shuffle stage and dominate
-        # small-batch latency.
-        out = (
-            self.spark.createDataFrame(pd.DataFrame({"v": vs}))
-            .mapInPandas(kernel, schema="delta double, visits long")
-            .toPandas()
-        )
+        out = map_ids(self.spark, len(vs), self._bc, task, "delta double, visits long")
         self.n_visits += int(out["visits"].sum())
         return out["delta"].to_numpy()
 

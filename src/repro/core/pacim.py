@@ -27,6 +27,7 @@ from repro.core.sketches import build_sketches, build_sketches_local
 from repro.core.wintree import wintree_select
 from repro.eval.space import pacim_bytes
 from repro.graphs.csr import CSR, build_csr
+from repro.graphs.probs import check_probs
 
 _SELECTORS = {
     "celf": celf_select,
@@ -62,14 +63,7 @@ def run_pacim(
         raise ValueError(f"R must be at least 1, got {R!r}")
     if not 1 <= k <= csr.n:
         raise ValueError(f"k must be in [1, n={csr.n}], got {k!r}")
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != csr.adj.shape:
-        raise ValueError(
-            f"probs must hold one value per arc ({len(csr.adj)}), "
-            f"got shape {probs.shape}"
-        )
-    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
-        raise ValueError("probs must be finite and in [0, 1]")
+    probs = check_probs(csr, probs)
     if selector not in _SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     if backend not in ("local", "spark"):

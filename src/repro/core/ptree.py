@@ -17,12 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.celf import (
-    EvalBudgetExceeded,
-    SelectionResult,
-    _check_budget,
-    key,
-)
+from repro.core.celf import SelectionResult, _evaluate, greedy_select, key
 from repro.hashing import splitmix64
 
 
@@ -91,6 +86,15 @@ def _split_key(t: _Node | None, rk: tuple[float, int]):
     return l, _pull(t)
 
 
+def _items(t: _Node | None, out: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    """``out`` extended by t's (vertex, score) pairs in rank order."""
+    if t is not None:
+        _items(t.left, out)
+        out.append((t.vid, t.score))
+        _items(t.right, out)
+    return out
+
+
 class PTree:
     """Ordered max-structure over (score, vertex-id) with batch ops."""
 
@@ -135,19 +139,8 @@ class PTree:
 
     def split_top(self, k: int) -> list[tuple[int, float]]:
         """SplitAndRemove: extract the k best (vertex, stale score)."""
-        top, rest = _split_rank(self.root, k)
-        self.root = rest
-        out: list[tuple[int, float]] = []
-
-        def collect(t: _Node | None) -> None:
-            if t is None:
-                return
-            collect(t.left)
-            out.append((t.vid, t.score))
-            collect(t.right)
-
-        collect(top)
-        return out
+        top, self.root = _split_rank(self.root, k)
+        return _items(top, [])
 
     def batch_insert(self, items: list[tuple[int, float]]) -> None:
         """BatchInsert: add (vertex, score) pairs."""
@@ -157,59 +150,30 @@ class PTree:
             self.root = _merge(_merge(l, node), r)
 
     def to_sorted_list(self) -> list[tuple[int, float]]:
-        out: list[tuple[int, float]] = []
-
-        def collect(t: _Node | None) -> None:
-            if t is None:
-                return
-            collect(t.left)
-            out.append((t.vid, t.score))
-            collect(t.right)
-
-        collect(self.root)
-        return out
+        return _items(self.root, [])
 
 
 def ptree_select(evaluator, k: int, *, max_jobs: int | None = None) -> SelectionResult:
     """Alg. 4: prefix-doubling parallel CELF over a P-tree."""
     scores = evaluator.init_scores()
-    n = len(scores)
-    jobs0, evals0 = evaluator.n_jobs, evaluator.n_reevals
     tree = PTree(scores)
-    seeds: list[int] = []
-    gains: list[float] = []
-    batch_hist: list[int] = []
-    while len(seeds) < k and len(tree):
+
+    def next_seed() -> tuple[int, float]:
         best_v, best_s = -1, -np.inf
         collected: list[tuple[int, float]] = []
         j = 0
-        n_batches = 0
         while True:
             batch = tree.split_top(1 << j)
-            if not batch:
-                break
             vs = np.array([v for v, _ in batch], dtype=np.int64)
-            truths = evaluator.evaluate(vs)
-            _check_budget(evaluator, max_jobs)
-            n_batches += 1
-            for (v, _), t in zip(batch, truths):
+            for (v, _), t in zip(batch, _evaluate(evaluator, vs, max_jobs)):
                 collected.append((v, float(t)))
                 if key(t, v) > key(best_s, best_v):
                     best_v, best_s = v, float(t)
             j += 1
             if len(tree) == 0 or key(best_s, best_v) > tree.max_key():
                 break
-        batch_hist.append(n_batches)
         tree.batch_insert([(v, s) for v, s in collected if v != best_v])
-        seeds.append(best_v)
-        gains.append(best_s)
-        evaluator.mark_seed(best_v)
-    return SelectionResult(
-        seeds=seeds,
-        gains=gains,
-        n_reevals=evaluator.n_reevals - evals0,
-        n_jobs=evaluator.n_jobs - jobs0,
-        # score + id + priority + 2 pointers + size per node, 8B fields
-        structure_bytes=48 * n,
-        extra={"batches_per_round": batch_hist},
-    )
+        return best_v, best_s
+
+    # score + id + priority + 2 pointers + size per node, 8B fields
+    return greedy_select(evaluator, k, next_seed, 48 * len(scores))

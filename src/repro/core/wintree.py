@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.celf import SelectionResult, _check_budget, key
+from repro.core.celf import SelectionResult, _evaluate, greedy_select, key
 
 
 class WinTree:
@@ -83,8 +83,8 @@ class WinTree:
                     to_eval.append(vid)
                 survivors.append(t)
             if to_eval:
-                truths = evaluator.evaluate(np.array(to_eval, dtype=np.int64))
-                _check_budget(evaluator, max_jobs)
+                vs = np.array(to_eval, dtype=np.int64)
+                truths = _evaluate(evaluator, vs, max_jobs)
                 n_batches += 1
                 self.stale[to_eval] = truths
                 for vid in to_eval:  # write-max on the best true key
@@ -107,24 +107,11 @@ class WinTree:
 
 def wintree_select(evaluator, k: int, *, max_jobs: int | None = None) -> SelectionResult:
     """k greedy rounds of Win-Tree NextSeed."""
-    scores = evaluator.init_scores()
-    jobs0, evals0 = evaluator.n_jobs, evaluator.n_reevals
-    tree = WinTree(scores)
-    seeds: list[int] = []
-    gains: list[float] = []
-    batch_hist: list[int] = []
-    for _ in range(min(k, tree.n)):
-        s, gain, n_batches = tree.next_seed(evaluator, max_jobs=max_jobs)
-        batch_hist.append(n_batches)
-        seeds.append(s)
-        gains.append(gain)
-        evaluator.mark_seed(s)
+    tree = WinTree(evaluator.init_scores())
+
+    def next_seed() -> tuple[int, float]:
+        s, gain, _ = tree.next_seed(evaluator, max_jobs=max_jobs)
         tree.remove(s)
-    return SelectionResult(
-        seeds=seeds,
-        gains=gains,
-        n_reevals=evaluator.n_reevals - evals0,
-        n_jobs=evaluator.n_jobs - jobs0,
-        structure_bytes=tree.structure_bytes(),
-        extra={"batches_per_round": batch_hist},
-    )
+        return s, gain
+
+    return greedy_select(evaluator, k, next_seed, tree.structure_bytes())

@@ -19,6 +19,20 @@ from repro.graphs.csr import CSR
 from repro.hashing import SALT_PROB, u01
 
 
+def check_probs(csr: CSR, probs) -> np.ndarray:
+    """``probs`` as float64 if it holds one finite value in [0, 1] per arc
+    of ``csr``; otherwise a ``ValueError``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != csr.adj.shape:
+        raise ValueError(
+            f"probs must hold one value per arc ({len(csr.adj)}), "
+            f"got shape {probs.shape}"
+        )
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
+        raise ValueError("probs must be finite and in [0, 1]")
+    return probs
+
+
 def consistent_probs(csr: CSR, p: float) -> np.ndarray:
     """Constant probability p for every arc."""
     return np.full(len(csr.adj), float(p))
@@ -38,10 +52,17 @@ def wic_probs(csr: CSR) -> np.ndarray:
 
 def make_probs(csr: CSR, model: str, *, p: float = 0.1,
                lo: float = 0.0, hi: float = 0.1) -> np.ndarray:
-    """Dispatch by model name: 'consistent' | 'uniform' | 'wic'."""
+    """Dispatch by model name: 'consistent' | 'uniform' | 'wic'.
+
+    ``p``, ``lo`` and ``hi`` must lie in [0, 1], with ``lo <= hi``.
+    """
     if model == "consistent":
+        if not 0.0 <= p <= 1.0:  # NaN fails both
+            raise ValueError(f"p must be in [0, 1], got {p!r}")
         return consistent_probs(csr, p)
     if model == "uniform":
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"need 0 <= lo <= hi <= 1, got lo={lo!r}, hi={hi!r}")
         return uniform_probs(csr, lo, hi)
     if model == "wic":
         return wic_probs(csr)

@@ -1,10 +1,11 @@
-"""One-shot Spark jobs over a range of ids with one shared broadcast.
+"""Spark jobs over a range of ids with one shared broadcast.
 
-Sketch construction, MC simulation and RR-set generation all have the
-same shape: broadcast the graph once, map blocks of ids through a numpy
-kernel inside ``mapInPandas``, collect. :func:`map_range` is that shape;
-it owns the broadcast and destroys it once the rows are collected (or the
-job fails), so a finished job holds no executor memory.
+Every Spark job in the repo has one shape, :func:`map_ids`: map blocks of
+ids through a numpy kernel in a pandas-UDF task against one broadcast,
+collect. One-shot jobs (sketch construction, MC simulation, RR sets) go
+through :func:`map_range`, which owns its broadcast and destroys it once
+the rows are collected (or the job fails); ``SparkEvaluator`` keeps one
+broadcast for its lifetime and runs one :func:`map_ids` per batch.
 """
 from __future__ import annotations
 
@@ -12,7 +13,29 @@ from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import SparkSession
+
+
+def map_ids(
+    spark: SparkSession,
+    n: int,
+    bc: Broadcast,
+    task: Callable[[object, np.ndarray], pd.DataFrame],
+    schema: str,
+) -> pd.DataFrame:
+    """Rows of ``task(bc.value, ids)`` over the id blocks of ``range(n)``,
+    collected in id order, from ``min(n, defaultParallelism)`` partitions:
+    ``spark.range`` alone always makes ``defaultParallelism``, and each
+    empty one still costs a task that a small evaluation batch would pay."""
+
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        value = bc.value
+        for pdf in batches:
+            yield task(value, pdf["id"].to_numpy())
+
+    parts = max(1, min(n, spark.sparkContext.defaultParallelism))
+    return spark.range(0, n, 1, parts).mapInPandas(kernel, schema=schema).toPandas()
 
 
 def map_range(
@@ -22,17 +45,9 @@ def map_range(
     task: Callable[[object, np.ndarray], pd.DataFrame],
     schema: str,
 ) -> pd.DataFrame:
-    """Collected rows of ``task(shared, ids)`` over the id blocks of
-    ``spark.range(n)``, with ``shared`` broadcast once."""
+    """:func:`map_ids` with ``shared`` broadcast for this one job."""
     bc = spark.sparkContext.broadcast(shared)
-
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        value = bc.value
-        for pdf in batches:
-            yield task(value, pdf["id"].to_numpy())
-
     try:
-        # range already spreads ids over defaultParallelism partitions
-        return spark.range(n).mapInPandas(kernel, schema=schema).toPandas()
+        return map_ids(spark, n, bc, task, schema)
     finally:
         bc.destroy()

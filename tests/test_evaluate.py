@@ -6,7 +6,6 @@ from repro.cc.local_cc import cc_labels
 from repro.core.evaluate import (
     _PAIR_BLOCK,
     LocalEvaluator,
-    evaluate_batch,
     get_center,
 )
 from repro.core.sketches import build_sketches_local, sampled_arcs
@@ -58,11 +57,13 @@ def test_same_cc_as_seed_is_zero(er_setup):
         lab = cc_labels(csr.n, us, vs)
         mates = np.flatnonzero(lab == lab[7])
         for w in mates[:3]:
-            d, _, _ = get_center(
-                csr, probs, sk.center_index, sk.labels, ev.sizes,
-                r, int(w), ev.seeds_mask, frozenset(),
+            d, l, _ = get_center(
+                csr, probs, sk.center_index, sk.labels, sk.sizes,
+                r, int(w), ev.seeds_mask,
             )
-            assert d == 0
+            # A CC with a center is zeroed by its label, one without by
+            # the seed its traversal meets.
+            assert ev.zeroed[r, l] if l >= 0 else d == 0
 
 
 def test_get_center_label_semantics(er_setup):
@@ -74,7 +75,7 @@ def test_get_center_label_semantics(er_setup):
         for v in range(0, csr.n, 23):
             d, l, visits = get_center(
                 csr, probs, sk.center_index, sk.labels, sk.sizes,
-                r, v, np.zeros(csr.n, dtype=bool), frozenset(),
+                r, v, np.zeros(csr.n, dtype=bool),
             )
             cc = np.flatnonzero(lab == lab[v])
             has_center = bool(centers_set & set(cc.tolist()))
@@ -102,11 +103,17 @@ def test_visits_bounded_by_cc_size(er_setup):
 def test_mark_seed_zeroes_labels(er_setup):
     csr, probs, sk = er_setup
     ev = LocalEvaluator(csr, probs, sk)
+    sizes = sk.sizes.copy()
     ev.mark_seed(3)
-    for r, labs in ev.zeroed.items():
-        for lab in labs:
-            assert ev.sizes[r, lab] == 0
-            assert sk.sizes[r, lab] > 0  # pristine arrays untouched
+    for r in range(sk.R):
+        _, lab, _ = get_center(
+            csr, probs, sk.center_index, sk.labels, sk.sizes,
+            r, 3, np.zeros(csr.n, dtype=bool),
+        )
+        # exactly the label of 3's CC is zeroed, where the CC has a center
+        assert np.flatnonzero(ev.zeroed[r]).tolist() == ([lab] if lab >= 0 else [])
+    assert ev.zeroed.any()
+    assert np.array_equal(sk.sizes, sizes)  # pristine arrays untouched
 
 
 def test_counters(er_setup):
@@ -132,7 +139,7 @@ def test_full_memo_fast_path_matches_general(er_csr):
     probs = consistent_probs(csr, 0.15)
     sk = build_sketches_local(csr, probs, R=8, alpha=1.0)
     ev = LocalEvaluator(csr, probs, sk)
-    assert ev._full_memo()
+    assert sk.rho == csr.n
     vs = np.arange(csr.n)
     fast = ev.evaluate(vs)
     brute = np.array([brute_marginal(csr, probs, 8, v, []) for v in vs])
@@ -161,8 +168,7 @@ def test_monotone_nonincreasing_under_seeding(er_setup):
 @pytest.mark.parametrize("graph", ["rmat", "grid"])
 def test_blocked_batch_matches_singles_and_brute_force(graph, alpha):
     """One batch whose traversals span several blocks gives every vertex
-    the δ and visits it gets alone, on both the mutated-sizes path and the
-    pristine-sizes + zeroed-labels path."""
+    the δ and visits it gets alone, and the brute-force marginal."""
     gen, n, p = GRAPH_CASES[graph]
     csr = build_csr(gen(), n=n)
     probs = consistent_probs(csr, p)
@@ -187,10 +193,3 @@ def test_blocked_batch_matches_singles_and_brute_force(graph, alpha):
     assert batch_visits == single_visits
     assert batch.tolist() == [brute_marginal(csr, probs, R, v, seeds) for v in vs]
 
-    zeroed = {r: frozenset(ls) for r, ls in ev.zeroed.items()}
-    pristine = evaluate_batch(csr, probs, sk.center_index, sk.labels, sk.sizes,
-                              vs, ev.seeds_mask, zeroed)
-    mutated = evaluate_batch(csr, probs, sk.center_index, sk.labels, ev.sizes,
-                             vs, ev.seeds_mask, {})
-    assert pristine[0].tolist() == mutated[0].tolist() == batch.tolist()
-    assert pristine[1] == mutated[1] == batch_visits

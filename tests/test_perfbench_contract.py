@@ -3,7 +3,7 @@
 The benchmark times each layer by rebinding module globals and class
 attributes of ``repro``; a rename there would break the benchmark without
 failing any other test. This imports the tracing module as it is and
-enters its patch contexts around a tiny driver-local run.
+enters its patch contexts around tiny driver-local and Spark runs.
 """
 import importlib.util
 import sys
@@ -55,3 +55,21 @@ def test_job_labels_patch_spark_evaluate(tracing):
     with tracing.JobLabels(None, "t", "wintree").installed():
         assert SparkEvaluator.__dict__["evaluate"] is not evaluate
     assert SparkEvaluator.__dict__["evaluate"] is evaluate
+
+
+def test_instrumented_spark_run_labels_every_evaluation_job(tracing, spark):
+    sc = spark.sparkContext
+    csr = build_csr(rmat(128, 600, seed=3), n=128)
+    probs = consistent_probs(csr, 0.15)
+    tracer, probe = tracing.Tracer(), tracing.LayerProbe()
+    try:
+        with (tracing.instrumented(tracer, probe),
+              tracing.JobLabels(sc, "t", "wintree").installed()):
+            res = run_pacim(spark, csr, probs, R=4, alpha=0.3, k=2,
+                            selector="wintree", backend="spark")
+        last = sc.getLocalProperty("spark.job.description")
+    finally:
+        sc.setJobDescription(None)
+    evaluations = [s for s in tracer.spans if s.name == "core.evaluate.evaluate"]
+    assert len(evaluations) == res["n_eval_jobs"] > 0
+    assert last.startswith("t:wintree:seed=")

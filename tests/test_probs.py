@@ -85,3 +85,14 @@ def test_make_probs_dispatch(csr, model, kw):
 def test_make_probs_unknown(csr):
     with pytest.raises(ValueError):
         make_probs(csr, "lognormal")
+
+
+@pytest.mark.parametrize(
+    "model,kw",
+    [("consistent", dict(p=1.5)), ("consistent", dict(p=float("nan"))),
+     ("uniform", dict(lo=0.3, hi=0.1)), ("uniform", dict(lo=0.1, hi=2.0))],
+    ids=["p-above-1", "p-nan", "lo-above-hi", "hi-above-1"],
+)
+def test_make_probs_rejects_bad_parameters(csr, model, kw):
+    with pytest.raises(ValueError):
+        make_probs(csr, model, **kw)

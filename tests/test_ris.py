@@ -79,6 +79,22 @@ def test_greedy_max_cover_matches_reference(seed):
     assert cov == pytest.approx(want_cov)
 
 
+def test_greedy_max_cover_never_repeats_a_seed():
+    # Both RR sets are covered by vertex 2; later picks are the smallest
+    # ids not chosen yet, not vertex 0 again.
+    seeds, cov = greedy_max_cover(np.array([0, 0, 1, 1]), np.array([2, 3, 2, 4]),
+                                  5, 2, 3)
+    assert seeds == [2, 0, 1]
+    assert cov == 1.0
+
+
+@pytest.mark.parametrize("p", [0.9, 1.0])
+def test_run_ris_distinct_seeds_once_all_covered(p):
+    csr = build_csr(erdos_renyi(60, 150, seed=1), n=60)
+    res = run_ris(None, csr, consistent_probs(csr, p), k=5, backend="local")
+    assert len(set(res["seeds"])) == 5
+
+
 def test_cover_fraction_monotone(graph):
     csr, probs = graph
     ids, members = generate_rr_sets_local(csr, probs, 64)
@@ -124,3 +140,31 @@ def test_rr_salts_disjoint_from_sketch_salts(graph):
 
     us_sk, _ = sampled_arcs(csr, probs, SALT_SKETCH + 1)
     assert len(us_rr) != len(us_sk) or not np.array_equal(us_rr, us_sk)
+
+
+@pytest.mark.parametrize(
+    "key, bad, match",
+    [
+        ("k", 0, "k must"),
+        ("k", 151, "k must"),
+        ("probs", lambda p: p[:-1], "one value per arc"),
+        ("probs", 1.7, "one value per arc"),
+        ("probs", lambda p: np.r_[np.nan, p[1:]], "finite"),
+        ("probs", lambda p: np.full_like(p, 1.7), "finite"),
+        ("eps", -1.0, "eps must"),
+        ("eps", 0.0, "eps must"),
+        ("pilot_theta", 0, "pilot_theta must"),
+        ("backend", "bogus", "backend"),
+    ],
+    ids=["k-zero", "k-above-n", "probs-short", "probs-scalar", "probs-nan",
+         "probs-above-1", "eps-negative", "eps-zero", "pilot-zero",
+         "backend-unknown"],
+)
+def test_run_ris_rejects_bad_arguments(graph, key, bad, match):
+    """Bad arguments fail at the boundary, not as a full θ run, a math
+    domain error or deep inside numpy."""
+    csr, probs = graph
+    args = {"k": 3, "probs": probs, "pilot_theta": 64, "backend": "local"}
+    args[key] = bad(probs) if callable(bad) else bad
+    with pytest.raises(ValueError, match=match):
+        run_ris(None, csr, **args)

@@ -67,3 +67,15 @@ def test_agreement_across_sketch_counts(er_csr, R):
     probs = consistent_probs(er_csr, 0.15)
     rs = {s: _run(er_csr, probs, 0.5, s, k=5, R=R) for s in SELECTORS}
     assert rs["celf"].seeds == rs["ptree"].seeds == rs["wintree"].seeds
+
+
+@pytest.mark.parametrize("selector", sorted(SELECTORS))
+def test_batches_per_round_count_every_job(er_csr, selector):
+    """The shared Alg. 1 loop books each evaluation job to its round."""
+    from repro.graphs.probs import consistent_probs
+
+    res = _run(er_csr, consistent_probs(er_csr, 0.15), 0.3, selector, k=7)
+    hist = res.extra["batches_per_round"]
+    assert len(hist) == 7
+    assert sum(hist) == res.n_jobs
+    assert min(hist) >= 1
