@@ -3,25 +3,34 @@
 A tournament (winning) tree stored implicitly in an array: leaves hold
 vertex ids, each internal node holds the id of the child with the
 higher (stale) score. The paper's traversal is asynchronous fork-join;
-our PySpark rendering is **wave-synchronous** (DESIGN.md §3): the
-frontier at depth d is processed together — stale nodes whose stale key
-loses to the best true key Δ* seen so far are pruned *with their whole
-subtree*; the surviving stale ids form one evaluation batch (one
-parallel round / Spark job); Δ* is then raised write-max-style and the
-frontier descends. A final up-sweep over the visited internal nodes
+our PySpark rendering is **wave-synchronous** (DESIGN.md §3). A wave
+spans several depths below the frontier — the root alone, then two
+depths, then three (``_WAVE_DEPTHS``) — and tests every stale node in
+them against the best true key Δ* known when the wave starts: a stale
+node whose stale key loses is pruned *with its whole subtree*, a
+non-stale node always descends. The surviving stale ids form one
+evaluation batch (one parallel round / Spark job); Δ* is then raised
+write-max-style and the next wave starts below the span. Looking ahead
+like this is the asynchrony of Alg. 5 in bulk — a thread descends
+before its ancestors' Δ* arrives — and trades a few more evaluations
+for fewer rounds. A final up-sweep over the expanded internal nodes
 restores the tournament invariant (Alg. 5 lines 12–13).
 
 Same seeds as CELF (the Thm. 4.4 argument carries over — every
 non-evaluated vertex was pruned under a stale upper bound strictly
-below Δ* ≤ Δ_m); no worst-case evaluation bound, but O(n) construction
-and 2n integers of space, the two practical advantages the paper
-measures in Fig. 9.
+below a wave's Δ* ≤ the round's final Δ* ≤ Δ_m); no worst-case
+evaluation bound, but O(n) construction and 2n integers of space, the
+two practical advantages the paper measures in Fig. 9.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.celf import SelectionResult, _evaluate, greedy_select, key
+
+# Tree depths per evaluation wave: a round's first wave spans 1, its
+# second 2, every later one this many.
+_WAVE_DEPTHS = 3
 
 
 class WinTree:
@@ -67,21 +76,30 @@ class WinTree:
         """One NextSeed round; returns (seed, true score, #batches)."""
         best_key = (-np.inf, 0)
         # (node, stale?) — the root has no parent, so it is always stale.
-        wave: list[tuple[int, bool]] = [(1, True)]
+        frontier: list[tuple[int, bool]] = [(1, True)]
         visited: list[int] = []
         n_batches = 0
-        while wave:
-            survivors: list[int] = []
+        span = 1
+        while frontier:
+            # One wave: `span` depths below the frontier, every stale node
+            # tested against the Δ* known when the wave starts.
             to_eval: list[int] = []
-            for t, is_stale in wave:
-                vid = int(self.ids[t])
-                if vid < 0:
-                    continue
-                if is_stale:
-                    if self._key(vid) < best_key:
-                        continue  # prune the whole subtree (Alg. 5 line 4)
-                    to_eval.append(vid)
-                survivors.append(t)
+            for _ in range(span):
+                nxt: list[tuple[int, bool]] = []
+                for t, is_stale in frontier:
+                    vid = int(self.ids[t])
+                    if vid < 0:
+                        continue
+                    if is_stale:
+                        if self._key(vid) < best_key:
+                            continue  # prune the whole subtree (Alg. 5 line 4)
+                        to_eval.append(vid)
+                    if t < self.P:  # internal: descend into both children
+                        visited.append(t)
+                        for c in (2 * t, 2 * t + 1):
+                            nxt.append((c, self.ids[c] != vid))
+                frontier = nxt
+            span = min(span + 1, _WAVE_DEPTHS)
             if to_eval:
                 vs = np.array(to_eval, dtype=np.int64)
                 truths = _evaluate(evaluator, vs, max_jobs)
@@ -90,15 +108,8 @@ class WinTree:
                 for vid in to_eval:  # write-max on the best true key
                     if self._key(vid) > best_key:
                         best_key = self._key(vid)
-            nxt: list[tuple[int, bool]] = []
-            for t in survivors:
-                if t < self.P:  # internal: descend into both children
-                    visited.append(t)
-                    vid = self.ids[t]
-                    for c in (2 * t, 2 * t + 1):
-                        nxt.append((c, self.ids[c] != vid))
-            wave = nxt
-        # Up-sweep: restore the tournament invariant on visited nodes.
+        # Up-sweep: restore the tournament invariant on visited nodes,
+        # deepest first (they were visited depth by depth).
         for t in reversed(visited):
             self.ids[t] = self._winner(self.ids[2 * t], self.ids[2 * t + 1])
         root = int(self.ids[1])

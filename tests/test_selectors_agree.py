@@ -6,7 +6,6 @@ The central correctness claims of Sec. 3 + 4 in one place:
   compressed evaluation returns exactly the same marginals);
 - P-tree's extra work is bounded (≤ 2× CELF).
 """
-import numpy as np
 import pytest
 
 from repro.core.celf import celf_select
@@ -29,8 +28,7 @@ def test_all_selectors_identical(small_case, alpha):
     _, csr, probs = small_case
     rs = {s: _run(csr, probs, alpha, s, k=8) for s in SELECTORS}
     assert rs["celf"].seeds == rs["ptree"].seeds == rs["wintree"].seeds
-    assert np.allclose(rs["celf"].gains, rs["ptree"].gains)
-    assert np.allclose(rs["celf"].gains, rs["wintree"].gains)
+    assert rs["celf"].gains == rs["ptree"].gains == rs["wintree"].gains
 
 
 @pytest.mark.parametrize("selector", sorted(SELECTORS))
@@ -40,7 +38,7 @@ def test_alpha_independence(small_case, selector):
     for alpha in (0.0, 0.05, 0.3):
         res = _run(csr, probs, alpha, selector, k=6)
         assert res.seeds == base.seeds
-        assert np.allclose(res.gains, base.gains)
+        assert res.gains == base.gains
 
 
 def test_ptree_eval_bound_all_graphs(small_case):

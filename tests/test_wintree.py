@@ -61,7 +61,7 @@ def test_selector_matches_celf(small_case, k):
     r_celf = celf_select(LocalEvaluator(csr, probs, sk), k)
     r_wt = wintree_select(LocalEvaluator(csr, probs, sk), k)
     assert r_wt.seeds == r_celf.seeds
-    assert np.allclose(r_wt.gains, r_celf.gains)
+    assert r_wt.gains == r_celf.gains
 
 
 def test_invariant_after_rounds(er_setup):
@@ -73,6 +73,67 @@ def test_invariant_after_rounds(er_setup):
         ev.mark_seed(s)
         tree.remove(s)
         _check_invariant(tree)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_invariant_after_every_round_all_graphs(small_case, alpha):
+    _, csr, probs = small_case
+    ev = LocalEvaluator(csr, probs, build_sketches_local(csr, probs, R=8, alpha=alpha))
+    tree = WinTree(ev.init_scores())
+    for _ in range(10):
+        s, _, _ = tree.next_seed(ev)
+        _check_invariant(tree)  # the up-sweep covered every evaluated leaf
+        ev.mark_seed(s)
+        tree.remove(s)
+
+
+# --- wave schedule ----------------------------------------------------------
+
+
+class _FixedGains:
+    """Stub evaluator: fixed true gains; records each batch's size."""
+
+    def __init__(self, truths):
+        self.truths = np.asarray(truths, dtype=np.float64)
+        self.batches: list[int] = []
+
+    def evaluate(self, vs):
+        self.batches.append(len(vs))
+        return self.truths[vs]
+
+
+_STALE = np.arange(64, 0, -1).astype(np.float64)  # vertex 0 at the root
+
+
+def test_waves_span_one_two_then_three_depths():
+    """With every true gain 0 nothing is pruned: the waves take depth 0,
+    depths 1–2, depths 3–5 and the leaves, and evaluate every stale node
+    (half of each depth below the root)."""
+    tree = WinTree(_STALE)
+    stub = _FixedGains(np.zeros(64))
+    s, gain, n_batches = tree.next_seed(stub)
+    assert stub.batches == [1, 3, 28, 32]
+    assert n_batches == 4
+    assert (s, gain) == (0, 0.0)
+    _check_invariant(tree)
+
+
+def test_root_alone_when_its_stale_score_holds():
+    """A root whose true gain equals its stale score prunes every stale
+    node below it, so the round is one 1-vertex batch."""
+    tree = WinTree(_STALE)
+    stub = _FixedGains(_STALE)
+    s, gain, n_batches = tree.next_seed(stub)
+    assert stub.batches == [1]
+    assert (s, gain, n_batches) == (0, 64.0, 1)
+
+
+def test_waves_per_round_bounded_by_schedule(er_setup):
+    """Waves of 1, 2, 3, 3 depths cover er_setup's 9-level tree."""
+    csr, probs, sk = er_setup
+    r_wt = wintree_select(LocalEvaluator(csr, probs, sk), 10)
+    assert WinTree(np.zeros(csr.n)).P == 256  # depths 0..8
+    assert max(r_wt.extra["batches_per_round"]) <= 4
 
 
 def test_far_fewer_jobs_than_celf(er_setup):
