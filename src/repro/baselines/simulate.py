@@ -53,6 +53,16 @@ def _spread_once(
     return int(_spreads(csr, probs, seeds, np.array([salt]))[0])
 
 
+def _seed_array(csr: CSR, seeds, n_sims: int) -> np.ndarray:
+    """``seeds`` as int64 ids, once ``n_sims`` and every id are valid."""
+    seeds = np.asarray(list(seeds), dtype=np.int64)
+    if n_sims < 1:
+        raise ValueError(f"n_sims must be >= 1, got {n_sims!r}")
+    if not np.all((0 <= seeds) & (seeds < csr.n)):
+        raise ValueError(f"seed ids must be in [0, {csr.n})")
+    return seeds
+
+
 def estimate_spread_local(
     csr: CSR,
     probs: np.ndarray,
@@ -62,7 +72,7 @@ def estimate_spread_local(
     sim_offset: int = 0,
 ) -> float:
     """Mean spread over ``n_sims`` simulations, driver-side."""
-    seeds = np.asarray(list(seeds), dtype=np.int64)
+    seeds = _seed_array(csr, seeds, n_sims)
     if seeds.size == 0:
         return 0.0
     salts = SALT_SIM + sim_offset + np.arange(n_sims)
@@ -79,7 +89,7 @@ def estimate_spread(
     sim_offset: int = 0,
 ) -> float:
     """Mean spread over ``n_sims`` simulations, one Spark job."""
-    seeds = np.asarray(list(seeds), dtype=np.int64)
+    seeds = _seed_array(csr, seeds, n_sims)
     if seeds.size == 0:
         return 0.0
 

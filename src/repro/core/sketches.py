@@ -10,10 +10,10 @@ memoized **only for the ρ = αn centers**:
   seed.
 
 Construction parallelizes across sketches (Alg. 1 line 1): one Spark job
-over ``spark.range(R)``, one task per sketch, the CSR broadcast once.
-Each task samples arcs by hashing, runs the local min-label-propagation
-CC kernel, and emits its center arrays. Because full CC labels are in
-hand during construction, the initial CELF scores
+of ``min(R, defaultParallelism)`` tasks over blocks of sketch ids, the CSR
+broadcast once. Per sketch, a task samples arcs by hashing, runs the local
+min-label-propagation CC kernel and emits the center arrays. Full CC
+labels are in hand during construction, so the initial CELF scores
 ``Δ̄[v] = Marginal(∅, v)`` (the mean CC size of v over all sketches) are
 harvested here for free instead of running nR BFS evaluations later.
 """
@@ -145,11 +145,11 @@ def build_sketches(
     alpha: float,
     center_seed: int = 0,
 ) -> Sketches:
-    """Distributed construction: one Spark task per sketch id.
+    """Distributed construction: Spark tasks over blocks of sketch ids.
 
     The CSR + probabilities + centers are broadcast once (and released
-    after the job); each task emits one row per sketch with the center
-    arrays as list columns (Arrow).
+    after the job); each task emits one row per sketch of its block, with
+    the center arrays as list columns (Arrow).
     """
     centers = choose_centers(csr.n, alpha, center_seed)
 

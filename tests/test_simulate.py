@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.simulate import (
     _SIM_BLOCK,
     _spread_once,
+    estimate_spread,
     estimate_spread_local,
 )
 from repro.graphs.csr import build_csr
@@ -115,3 +116,26 @@ def test_blocked_simulations_equal_single_ones(sim_offset):
                                 sim_offset=sim_offset)
     assert est == sum(singles) / n_sims
     assert len(set(singles)) > 1  # the simulations really differ
+
+
+@pytest.mark.parametrize(
+    "seeds,n_sims,match",
+    [([0], 0, "n_sims"), ([0], -3, "n_sims"), ([], 0, "n_sims"),
+     ([1, 30], 5, "seed ids"), ([-1], 5, "seed ids")],
+    ids=["no-sims", "negative-sims", "empty-no-sims", "id-n", "id-minus-1"])
+@pytest.mark.parametrize("backend", ["local", "spark"])
+def test_rejects_bad_arguments(request, backend, seeds, n_sims, match):
+    # Rejected at the boundary, before any simulation runs; the message
+    # match keeps an unrelated numpy ValueError from passing.
+    csr = build_csr(erdos_renyi(30, 60, seed=2), n=30)
+    probs = consistent_probs(csr, 0.3)
+    if backend == "local":
+        run = estimate_spread_local
+    else:
+        spark = request.getfixturevalue("spark")
+
+        def run(*args, **kwargs):
+            return estimate_spread(spark, *args, **kwargs)
+
+    with pytest.raises(ValueError, match=match):
+        run(csr, probs, seeds, n_sims=n_sims)
