@@ -27,8 +27,8 @@ def print_table4(rows, title: str) -> None:
                 fmt(r["rel_influence"]["ours"], 3),
                 fmt(r["rel_influence"]["infusermg"], 3),
                 fmt(r["rel_influence"]["ripples"], 3),
-                fmt(r["time_s"]["ours1"], 1), fmt(r["time_s"]["ours01"], 1),
-                fmt(r["time_s"]["infusermg"], 1), fmt(r["time_s"]["ripples"], 1),
+                fmt(r["time_s"]["ours1"], 2), fmt(r["time_s"]["ours01"], 2),
+                fmt(r["time_s"]["infusermg"], 2), fmt(r["time_s"]["ripples"], 2),
                 fmt(r["mem_mb"]["csr"], 1), fmt(r["mem_mb"]["ours1"], 1),
                 fmt(r["mem_mb"]["ours01"], 1), fmt(r["mem_mb"]["infusermg"], 1),
                 fmt(r["mem_mb"]["ripples"], 1),

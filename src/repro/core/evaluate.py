@@ -24,12 +24,12 @@ settle at level 0 without a traversal — and runs in two places:
 
 - :class:`LocalEvaluator` calls it on the driver; used where only
   *evaluation counts* matter (Table 5) and in unit tests;
-- :class:`SparkEvaluator` calls it inside one Spark job per evaluation
-  **batch**, through ``spark_jobs.map_ids`` like every other Spark job:
-  ``spark.range`` over the batch positions, the batch itself in the task
+- :class:`SparkEvaluator` runs a **batch** predicted cheaper than a Spark
+  job on the driver too (every 1-vertex CELF round), and a larger one as
+  one Spark job through ``spark_jobs.map_ids`` like every other job:
+  ``spark.range`` over the batch positions, the batch in the task
   closure, each task evaluating its vertices on all R sketches against
-  the broadcast CSR + sketches. A 1-vertex batch is still a job — that is
-  exactly the sequential-CELF cost model of the baselines (DESIGN.md §2).
+  the broadcast CSR + sketches. Either way it is one round (DESIGN.md §2).
 
 Both read the pristine sketch arrays. ``MarkSeed`` always runs on the
 driver (it is R single-pair GetCenter calls) and records its effect in
@@ -54,6 +54,14 @@ from repro.spark_jobs import map_ids
 # keys that grow with the block; without blocks, a batch of long (α=0)
 # traversals ran slower than one pair at a time.
 _PAIR_BLOCK = 256
+
+# Predicted BFS visits (SparkEvaluator._predicted_visits) up to which
+# SparkEvaluator runs a batch on the driver: the break-even c = floor·P/(P-1)
+# of a P-task job. benchmarks/bench_spark_job.py times the batches of sf-spark
+# selections (SF-A', R=32, α=0.1, 4 cores): predicted 214k-222k, 77-134 ms on
+# the driver vs 163-248 ms as a job; 321k, 189 vs 161 ms; 416k, 246-252 vs
+# 140-177 ms. The prediction runs 1.3-1.9x above actual visits, hence its unit.
+_DRIVER_VISITS = 300_000
 
 
 def next_level(
@@ -232,8 +240,11 @@ class LocalEvaluator:
     mask of labels whose CC holds a seed. Counters: ``n_reevals`` (total
     vertices re-evaluated — the paper's Table 5 quantity), ``n_jobs``
     (evaluation batches — the parallel-rounds / span proxy), ``n_visits``
-    (BFS visits — Thm. 3.1 quantity).
+    (BFS visits — Thm. 3.1 quantity); ``n_spark_jobs`` (batches run as
+    Spark jobs) stays 0 here.
     """
+
+    n_spark_jobs = 0
 
     def __init__(self, csr: CSR, probs: np.ndarray, sketches: Sketches):
         self.csr = csr
@@ -282,7 +293,12 @@ class LocalEvaluator:
 
 
 class SparkEvaluator(LocalEvaluator):
-    """Evaluation batches dispatched as Spark jobs over batch positions.
+    """Evaluation batches run on the driver or as Spark jobs.
+
+    A batch predicted at most ``_DRIVER_VISITS`` BFS visits (pairs × the
+    visits per pair of the earlier batches, at least 1) runs
+    :func:`evaluate_batch` on the driver; a larger one is one Spark job,
+    counted in ``n_spark_jobs``. Placement changes no δ and no other count.
 
     ``(csr, probs, sketches)`` is broadcast once at construction and
     released by :meth:`close`. Each job runs through
@@ -297,11 +313,31 @@ class SparkEvaluator(LocalEvaluator):
         super().__init__(csr, probs, sketches)
         self.spark = spark
         self._bc = spark.sparkContext.broadcast((csr, probs, sketches))
+        self._visits = 0  # of evaluate calls, not MarkSeed
 
     def evaluate(self, vs: np.ndarray) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)
+        if self._predicted_visits(len(vs)) <= _DRIVER_VISITS:
+            means, visits = evaluate_batch(
+                self.csr, self.probs, self.sk.center_index, self.sk.labels,
+                self.sk.sizes, vs, self.seeds_mask, self.zeroed,
+            )
+        else:
+            means, visits = self._spark_batch(vs)
+            self.n_spark_jobs += 1
         self.n_reevals += len(vs)
         self.n_jobs += 1
+        self._visits += visits
+        self.n_visits += visits
+        return means
+
+    def _predicted_visits(self, n: int) -> float:
+        """Pairs of a batch of ``n`` × visits per pair so far (at least 1)."""
+        per_pair = self._visits / max(self.n_reevals * self.sk.R, 1)
+        return n * self.sk.R * max(1.0, per_pair)
+
+    def _spark_batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
+        """:func:`evaluate_batch` of ``vs`` as one Spark job."""
         seeds = np.array(self.seeds, dtype=np.int64)
         zeroed = np.flatnonzero(self.zeroed)
 
@@ -320,8 +356,7 @@ class SparkEvaluator(LocalEvaluator):
             return pd.DataFrame({"delta": means, "visits": visits_col})
 
         out = map_ids(self.spark, len(vs), self._bc, task, "delta double, visits long")
-        self.n_visits += int(out["visits"].sum())
-        return out["delta"].to_numpy()
+        return out["delta"].to_numpy(), int(out["visits"].sum())
 
     def close(self) -> None:
         self._bc.destroy()

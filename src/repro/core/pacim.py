@@ -11,7 +11,8 @@ parameter choice here:
 - ``0<alpha<1`` → PaC-IM compressed sketches;
 - ``selector`` ∈ {'celf', 'ptree', 'wintree'} — sequential vs parallel
   seed selection;
-- ``backend`` ∈ {'local', 'spark'} — where evaluation batches run.
+- ``backend`` ∈ {'local', 'spark'} — driver only, or Spark jobs for the
+  sketches and large evaluation batches.
 """
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ def run_pacim(
 
     ``graph`` is a CSR or a canonical edge list. ``backend='spark'``
     requires ``spark`` and dispatches sketch construction and every
-    evaluation batch as Spark jobs; ``backend='local'`` runs everything
-    driver-side (used where only counts matter).
+    evaluation batch above the Spark job floor as Spark jobs (counted by
+    ``n_spark_jobs``); ``backend='local'`` runs everything driver-side.
     """
     csr = graph if isinstance(graph, CSR) else build_csr(graph)
     if not 0.0 <= alpha <= 1.0:
@@ -99,6 +100,7 @@ def run_pacim(
         "n_reevals": sel.n_reevals,
         "n_eval_jobs": sel.n_jobs,
         "n_visits": evaluator.n_visits,
+        "n_spark_jobs": evaluator.n_spark_jobs,
         "space": pacim_bytes(csr, sketches, sel.structure_bytes),
         "selector": selector,
         "alpha": alpha,

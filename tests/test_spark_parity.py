@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.ris import generate_rr_sets, generate_rr_sets_local
 from repro.baselines.simulate import estimate_spread, estimate_spread_local
+from repro.core import evaluate as evaluate_mod
 from repro.core.celf import celf_select
 from repro.core.evaluate import LocalEvaluator, SparkEvaluator
 from repro.core.pacim import run_pacim
@@ -100,3 +101,78 @@ def test_rr_parity(spark):
         return {k: sorted(v) for k, v in d.items()}
 
     assert group(*a) == group(*b)
+
+
+@pytest.fixture
+def on_spark(monkeypatch):
+    """Every evaluation batch of a SparkEvaluator runs as a Spark job."""
+    monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_evaluator_parity_through_seeding_as_spark_jobs(spark, graph, alpha, on_spark):
+    csr, probs = graph
+    sk = build_sketches_local(csr, probs, R=8, alpha=alpha)
+    ev_s = SparkEvaluator(spark, csr, probs, sk)
+    ev_l = LocalEvaluator(csr, probs, sk)
+    vs = np.array([0, 3, 17, 200, 255])
+    try:
+        for s in (None, 3, 100):
+            if s is not None:
+                ev_s.mark_seed(s)
+                ev_l.mark_seed(s)
+            assert np.array_equal(ev_s.evaluate(vs), ev_l.evaluate(vs))
+    finally:
+        ev_s.close()
+    assert (ev_s.n_reevals, ev_s.n_jobs, ev_s.n_visits) == (
+        ev_l.n_reevals, ev_l.n_jobs, ev_l.n_visits)
+    assert ev_s.n_spark_jobs == ev_s.n_jobs == 3
+
+
+def test_selection_parity_as_spark_jobs(spark, graph, on_spark):
+    csr, probs = graph
+    sk = build_sketches_local(csr, probs, R=8, alpha=0.5)
+    ev = SparkEvaluator(spark, csr, probs, sk)
+    try:
+        r_spark = wintree_select(ev, 5)
+    finally:
+        ev.close()
+    r_local = celf_select(LocalEvaluator(csr, probs, sk), 5)
+    assert r_spark.seeds == r_local.seeds
+    assert r_spark.gains == r_local.gains
+    assert ev.n_spark_jobs == r_spark.n_jobs
+
+
+@pytest.mark.parametrize("selector", ["ptree", "wintree"])
+def test_batch_placement_changes_no_count(spark, graph, monkeypatch, selector):
+    """Below the constant every batch runs on the driver and submits no
+    Spark job; at 0 every batch is a job. Seeds, gains and counts agree."""
+    csr, probs = graph
+    sc = spark.sparkContext
+    evaluate = SparkEvaluator.__dict__["evaluate"]
+    tracker = sc.statusTracker()
+
+    def run(group):
+        def in_group(ev, vs):
+            sc.setJobGroup(group, "evaluation batch")
+            try:
+                return evaluate(ev, vs)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+                sc.setJobDescription(None)
+
+        with monkeypatch.context() as m:
+            m.setattr(SparkEvaluator, "evaluate", in_group)
+            res = run_pacim(spark, csr, probs, R=8, alpha=0.2, k=4,
+                            selector=selector, backend="spark")
+        return res, len(tracker.getJobIdsForGroup(group))
+
+    driver, driver_jobs = run(f"placement-driver-{selector}")
+    monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
+    jobs, spark_jobs = run(f"placement-spark-{selector}")
+    assert driver["n_spark_jobs"] == driver_jobs == 0
+    assert jobs["n_spark_jobs"] == spark_jobs == jobs["n_eval_jobs"] > 0
+    for key in ("seeds", "n_reevals", "n_eval_jobs", "n_visits"):
+        assert driver[key] == jobs[key]
+    assert np.array_equal(np.array(driver["gains"]).view(np.int64),
+                          np.array(jobs["gains"]).view(np.int64))
