@@ -63,11 +63,7 @@ def sf_spark_batches(request, spark):
             batches.setdefault(len(vs), (vs, seeds, predicted, self.n_visits - v0))
             return means
 
-    ev = Recorder(spark, csr, probs, sk)
-    try:
-        wintree_select(ev, 5)
-    finally:
-        ev.close()
+    wintree_select(Recorder(spark, csr, probs, sk), 5)
     return csr, probs, sk, batches
 
 
@@ -78,11 +74,8 @@ def test_evaluate_placement(benchmark, spark, sf_spark_batches, monkeypatch, pla
     vs, seeds, predicted, visits = batches[size]
     monkeypatch.setattr(evaluate, "_DRIVER_VISITS", np.inf if place == "driver" else 0)
     ev = SparkEvaluator(spark, csr, probs, sk)
-    try:
-        for s in seeds:
-            ev.mark_seed(s)
-        benchmark.pedantic(ev.evaluate, args=(vs,), rounds=10, iterations=1, warmup_rounds=2)
-    finally:
-        ev.close()
+    for s in seeds:
+        ev.mark_seed(s)
+    benchmark.pedantic(ev.evaluate, args=(vs,), rounds=10, iterations=1, warmup_rounds=2)
     benchmark.extra_info.update(predicted_visits=int(predicted), visits=visits)
     assert ev.n_spark_jobs == (ev.n_jobs if place == "spark" else 0)

@@ -15,12 +15,10 @@ from repro.graphs.csr import CSR
 from repro.hashing import SALT_SIM
 
 
-def general_greedy(
-    csr: CSR, probs: np.ndarray, *, k: int, n_sims: int, sim_offset: int = 0
-) -> list[int]:
+def general_greedy(csr: CSR, probs: np.ndarray, *, k: int, n_sims: int) -> list[int]:
     """k seeds by MC greedy; ties broken by smaller vertex id."""
     seeds: list[int] = []
-    salts = SALT_SIM + sim_offset + np.arange(n_sims)
+    salts = SALT_SIM + np.arange(n_sims)
     for _ in range(k):
         base = (
             int(_spreads(csr, probs, np.asarray(seeds, dtype=np.int64), salts).sum())

@@ -132,7 +132,6 @@ def run_ris(
     theta_cap: int = 2_000_000,
     entry_budget: int = 20_000_000,
     backend: str = "spark",
-    offset: int = 0,
 ) -> dict:
     """Two-phase RIS: pilot OPT estimate, then the full θ-sample run.
 
@@ -154,7 +153,7 @@ def run_ris(
         else (lambda th, off: generate_rr_sets_local(csr, probs, th, offset=off))
     )
     t0 = time.perf_counter()
-    pilot_ids, pilot_members = gen(pilot_theta, offset)
+    pilot_ids, pilot_members = gen(pilot_theta, 0)
     _, pilot_cov = greedy_max_cover(pilot_ids, pilot_members, csr.n, pilot_theta, k)
     opt_hat = max(csr.n * pilot_cov, 1.0)
     theta = min(choose_theta(csr.n, k, eps, opt_hat), theta_cap)
@@ -164,7 +163,7 @@ def run_ris(
         raise RRBudgetExceeded(
             f"projected {projected} RR entries exceed budget {entry_budget}"
         )
-    rr_ids, members = gen(theta, offset + pilot_theta)
+    rr_ids, members = gen(theta, pilot_theta)
     t1 = time.perf_counter()
     seeds, cov = greedy_max_cover(rr_ids, members, csr.n, theta, k)
     t2 = time.perf_counter()

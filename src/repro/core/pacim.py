@@ -84,11 +84,8 @@ def run_pacim(
         )
         evaluator = LocalEvaluator(csr, probs, sketches)
     t1 = time.perf_counter()
-    try:
-        sel = _SELECTORS[selector](evaluator, k, max_jobs=max_eval_jobs)
-        t2 = time.perf_counter()
-    finally:
-        evaluator.close()
+    sel = _SELECTORS[selector](evaluator, k, max_jobs=max_eval_jobs)
+    t2 = time.perf_counter()
 
     return {
         "seeds": sel.seeds,

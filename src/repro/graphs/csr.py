@@ -7,7 +7,7 @@ the key, hence sample identically in every sketch — the property the
 paper's undirected-CC memoization relies on.
 
 A ``CSR`` is a plain picklable dataclass of numpy arrays: it is
-broadcast once per experiment and read inside pandas-UDF tasks.
+broadcast with each Spark job that reads it in pandas-UDF tasks.
 """
 from __future__ import annotations
 
@@ -24,19 +24,17 @@ class CSR:
 
     ``indptr[v]..indptr[v+1]`` indexes ``adj``/``arc_key`` with the
     neighbours of ``v``. Every undirected edge appears as two arcs with
-    the same ``arc_key``. ``edges`` keeps the canonical (u < v) edge list
-    for the distributed code paths and the oracle checks.
+    the same ``arc_key``.
     """
 
     n: int
     indptr: np.ndarray  # int64, len n+1
     adj: np.ndarray  # int32, len 2m
     arc_key: np.ndarray  # uint64, len 2m
-    edges: np.ndarray  # int64, (m, 2), u < v
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.adj) // 2
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -61,13 +59,7 @@ def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, us + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return CSR(
-        n=n,
-        indptr=indptr,
-        adj=vs.astype(np.int32),
-        arc_key=arc_keys,
-        edges=edges,
-    )
+    return CSR(n=n, indptr=indptr, adj=vs.astype(np.int32), arc_key=arc_keys)
 
 
 def csr_bytes(csr: CSR) -> int:

@@ -1,12 +1,12 @@
 """Spark jobs over a range of ids with one shared broadcast.
 
-Every Spark job in the repo has one shape, :func:`map_ids`: map blocks of
-ids through a numpy kernel in a pandas-UDF task against one broadcast,
-collect. One-shot jobs (sketch construction, MC simulation, RR sets) go
-through :func:`map_range`, which owns its broadcast and destroys it once
-the rows are collected (or the job fails); ``SparkEvaluator`` keeps one
-broadcast for its lifetime and runs one :func:`map_ids` per batch. Each
-task evicts its worker's cached zip importers, which halves a small job.
+Every Spark job in the repo has one shape, :func:`map_range`: broadcast
+one shared value, map blocks of ids through a numpy kernel in a
+pandas-UDF task against it, collect, and destroy the broadcast once the
+rows are collected (or the job fails). Sketch construction, MC
+simulation, RR sets and each evaluation batch large enough to pay for a
+job run through it, so no Spark state outlives one call. Each task
+evicts its worker's cached zip importers, which halves a small job.
 """
 from __future__ import annotations
 
@@ -16,21 +16,21 @@ from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark import Broadcast
 from pyspark.sql import SparkSession
 
 
-def map_ids(
+def map_range(
     spark: SparkSession,
     n: int,
-    bc: Broadcast,
+    shared,
     task: Callable[[object, np.ndarray], pd.DataFrame],
     schema: str,
 ) -> pd.DataFrame:
-    """Rows of ``task(bc.value, ids)`` over the id blocks of ``range(n)``,
-    collected in id order, from ``min(n, defaultParallelism)`` partitions:
-    ``spark.range`` alone always makes ``defaultParallelism``, and each
-    empty one still costs a task that a small evaluation batch would pay.
+    """Rows of ``task(shared, ids)`` over the id blocks of ``range(n)``,
+    collected in id order, with ``shared`` broadcast for this one job, from
+    ``min(n, defaultParallelism)`` partitions: ``spark.range`` alone always
+    makes ``defaultParallelism``, and each empty one still costs a task
+    that a small evaluation batch would pay.
 
     A reused worker runs ``importlib.invalidate_caches()`` before each task
     (``pyspark/worker_util.py:144``), and in Python 3.11 every cached
@@ -48,19 +48,8 @@ def map_ids(
             yield task(value, pdf["id"].to_numpy())
 
     parts = max(1, min(n, spark.sparkContext.defaultParallelism))
-    return spark.range(0, n, 1, parts).mapInPandas(kernel, schema=schema).toPandas()
-
-
-def map_range(
-    spark: SparkSession,
-    n: int,
-    shared,
-    task: Callable[[object, np.ndarray], pd.DataFrame],
-    schema: str,
-) -> pd.DataFrame:
-    """:func:`map_ids` with ``shared`` broadcast for this one job."""
     bc = spark.sparkContext.broadcast(shared)
     try:
-        return map_ids(spark, n, bc, task, schema)
+        return spark.range(0, n, 1, parts).mapInPandas(kernel, schema=schema).toPandas()
     finally:
         bc.destroy()

@@ -36,7 +36,8 @@ def test_mode_matrix_same_seeds(graph, alpha, selector):
 def test_accepts_edge_list(graph):
     csr, probs = graph
     res_edges = run_pacim(
-        None, csr.edges, probs, R=4, alpha=1.0, k=3, backend="local"
+        None, erdos_renyi(250, 600, seed=21), probs, R=4, alpha=1.0, k=3,
+        backend="local",
     )
     res_csr = run_pacim(None, csr, probs, R=4, alpha=1.0, k=3, backend="local")
     assert res_edges["seeds"] == res_csr["seeds"]

@@ -50,7 +50,6 @@ def test_evaluator_parity_through_seeding(spark, graph, alpha):
     assert ev_s.n_reevals == ev_l.n_reevals
     assert ev_s.n_jobs == ev_l.n_jobs
     assert ev_s.n_visits == ev_l.n_visits
-    ev_s.close()
 
 
 def test_selection_parity(spark, graph):
@@ -116,14 +115,11 @@ def test_evaluator_parity_through_seeding_as_spark_jobs(spark, graph, alpha, on_
     ev_s = SparkEvaluator(spark, csr, probs, sk)
     ev_l = LocalEvaluator(csr, probs, sk)
     vs = np.array([0, 3, 17, 200, 255])
-    try:
-        for s in (None, 3, 100):
-            if s is not None:
-                ev_s.mark_seed(s)
-                ev_l.mark_seed(s)
-            assert np.array_equal(ev_s.evaluate(vs), ev_l.evaluate(vs))
-    finally:
-        ev_s.close()
+    for s in (None, 3, 100):
+        if s is not None:
+            ev_s.mark_seed(s)
+            ev_l.mark_seed(s)
+        assert np.array_equal(ev_s.evaluate(vs), ev_l.evaluate(vs))
     assert (ev_s.n_reevals, ev_s.n_jobs, ev_s.n_visits) == (
         ev_l.n_reevals, ev_l.n_jobs, ev_l.n_visits)
     assert ev_s.n_spark_jobs == ev_s.n_jobs == 3
@@ -133,10 +129,7 @@ def test_selection_parity_as_spark_jobs(spark, graph, on_spark):
     csr, probs = graph
     sk = build_sketches_local(csr, probs, R=8, alpha=0.5)
     ev = SparkEvaluator(spark, csr, probs, sk)
-    try:
-        r_spark = wintree_select(ev, 5)
-    finally:
-        ev.close()
+    r_spark = wintree_select(ev, 5)
     r_local = celf_select(LocalEvaluator(csr, probs, sk), 5)
     assert r_spark.seeds == r_local.seeds
     assert r_spark.gains == r_local.gains
