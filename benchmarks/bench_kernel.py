@@ -1,5 +1,6 @@
-"""Micro-benchmark of the evaluation kernel: one 256-vertex
-``LocalEvaluator.evaluate`` (256 x R (vertex, sketch) GetCenter pairs).
+"""Micro-benchmarks of the evaluation kernel: one 256-vertex
+``LocalEvaluator.evaluate`` (256 x R (vertex, sketch) GetCenter pairs), and
+one ``LocalEvaluator.mark_seed`` (R pairs of the top-scoring vertex).
 
 Two graph classes at three memoization levels: a scale-free RMAT graph
 (n=8192, supercritical at p=0.1, so compressed sketches walk ~1/α
@@ -45,3 +46,20 @@ def test_kernel_evaluate(benchmark, graph, alpha):
     benchmark.extra_info["center_pairs"] = R * int((sk.center_index[vs] >= 0).sum())
     benchmark.extra_info["visits_per_round"] = ev.n_visits // 3
     assert np.allclose(means, sk.init_scores[vs])
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.02])
+def test_kernel_mark_seed(benchmark, graph, alpha):
+    csr, probs = graph
+    sk = build_sketches_local(csr, probs, R=R, alpha=alpha)
+    v = int(np.argmax(sk.init_scores))  # the seed every selector picks first
+
+    def fresh():
+        return (LocalEvaluator(csr, probs, sk),), {}
+
+    benchmark.pedantic(lambda ev: ev.mark_seed(v), setup=fresh, rounds=5)
+    ev = LocalEvaluator(csr, probs, sk)
+    ev.mark_seed(v)
+    benchmark.extra_info["pairs"] = R
+    benchmark.extra_info["visits"] = ev.n_visits
+    assert ev.evaluate(np.array([v]))[0] == 0.0

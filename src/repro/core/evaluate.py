@@ -5,8 +5,9 @@ of traversals at once, each on its own hash-reconstructed sampled graph
 G'_salt (the multi-source BFS of Then et al., "The More the Merrier"):
 :func:`next_level` is the one step that expands a frontier of
 (traversal id, vertex) pairs — one CSR gather and one ``u01`` call for
-the whole block — and :func:`block_levels` iterates it. The traversals
-differ only in their sources, salt stream and stop rule:
+the whole block, each traversal's salt mixed once — and
+:func:`block_levels` iterates it. The traversals differ only in their
+sources, salt stream and stop rule:
 
 - GetCenter (sketch stream) runs one traversal per (vertex, sketch)
   pair. A pair settles at the first level holding a center and takes the
@@ -33,9 +34,9 @@ settle at level 0 without a traversal — and runs in two places:
   round (DESIGN.md §2).
 
 Both read the pristine sketch arrays. ``MarkSeed`` always runs on the
-driver (it is R single-pair GetCenter calls) and records its effect in
-one (R, ρ) bool mask of zeroed labels, which ``evaluate_batch`` applies
-and Spark tasks rebuild from its flat indices.
+driver (one GetCenter block of the seed's R pairs) and records its
+effect in one (R, ρ) bool mask of zeroed labels, which
+``evaluate_batch`` applies and Spark tasks rebuild from its flat indices.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.sketches import Sketches
 from repro.graphs.csr import CSR
-from repro.hashing import SALT_SKETCH, u01
+from repro.hashing import SALT_SKETCH, salt_mix, u01
 from repro.spark_jobs import map_range
 
 # (vertex, sketch) pairs traversed together. A block pays its numpy calls
@@ -59,10 +60,11 @@ _PAIR_BLOCK = 256
 # Predicted BFS visits (SparkEvaluator._predicted_visits) up to which
 # SparkEvaluator runs a batch on the driver: the break-even c = floor·P/(P-1)
 # of a P-task job. benchmarks/bench_spark_job.py times the batches of sf-spark
-# selections (SF-A', R=32, α=0.1, 4 cores): predicted 214k-222k, 77-134 ms on
-# the driver vs 163-248 ms as a job; 321k, 189 vs 161 ms; 416k, 246-252 vs
-# 140-177 ms. The prediction runs 1.3-1.9x above actual visits, hence its unit.
-_DRIVER_VISITS = 300_000
+# selections (SF-A', R=32, α=0.1, 4 cores; medians of 3-5 runs): predicted
+# 214k-222k, 50-110 ms on the driver vs 148-215 ms as a job; 321k, 108-150 vs
+# 149-209 ms; 416k, 154-210 vs 150-261 ms (medians 178 vs 175). The prediction
+# runs 1.3-1.9x above actual visits, hence its unit.
+_DRIVER_VISITS = 400_000
 
 
 def next_level(
@@ -70,13 +72,14 @@ def next_level(
     probs: np.ndarray,
     tids: np.ndarray,
     verts: np.ndarray,
-    salts: np.ndarray,
+    mixes: np.ndarray,
     visited: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One BFS step of a block of traversals: (tids, verts, visited).
 
-    ``(tids, verts)`` is the frontier, int64. Traversal t walks the sampled graph of ``salts[t]``: an
-    arc is alive iff ``u01(arc_key, salts[t]) < probs`` — the coin sketch
+    ``(tids, verts)`` is the frontier, int64. Traversal t walks the sampled
+    graph of the salt whose ``salt_mix`` is ``mixes[t]``: an arc is alive
+    iff ``u01(arc_key ^ mixes[t], 0) < probs``, the coin sketch
     construction flips for that salt. ``visited`` is the sorted array of
     keys ``t * n + v`` of every vertex a traversal has reached. Returns
     the next level of every traversal, ordered the same way, and the
@@ -88,7 +91,7 @@ def next_level(
     ends = np.cumsum(deg)
     arc = np.arange(ends[-1]) + np.repeat(starts - (ends - deg), deg)
     arc_t = np.repeat(tids, deg)
-    alive = u01(csr.arc_key[arc], salts[arc_t]) < probs[arc]
+    alive = u01(csr.arc_key[arc] ^ mixes[arc_t], 0) < probs[arc]
     keys = np.unique(arc_t[alive] * n + csr.adj[arc[alive]])
     pos = np.searchsorted(visited, keys)
     old = visited[np.minimum(pos, len(visited) - 1)] == keys
@@ -109,10 +112,11 @@ def block_levels(
     traversal id; every later level is ordered by traversal id, then
     vertex, and disjoint from the traversal's earlier levels.
     """
+    mixes = salt_mix(salts)
     visited = np.sort(tids * csr.n + verts)
     while tids.size:
         yield tids, verts
-        tids, verts, visited = next_level(csr, probs, tids, verts, salts, visited)
+        tids, verts, visited = next_level(csr, probs, tids, verts, mixes, visited)
 
 
 def sampled_levels(
@@ -153,7 +157,6 @@ def _get_centers(
     lab[at_center] = labels[rs[at_center], ci[at_center]]
     visits = np.ones(len(vs), dtype=np.int64)
     seen = seeds_mask[vs]
-    salts = SALT_SKETCH + rs
 
     def settle(tids, verts):
         """Count one level; settle the pairs it gives a center, keep the rest.
@@ -172,12 +175,14 @@ def _get_centers(
         return tids[keep], verts[keep]
 
     todo = np.flatnonzero(~at_center)
+    mixes = np.zeros(len(vs), dtype=np.uint64)
     for lo in range(0, len(todo), _PAIR_BLOCK):
         t = todo[lo : lo + _PAIR_BLOCK]
+        mixes[t] = salt_mix(SALT_SKETCH + rs[t])
         v = vs[t]
         visited = t * csr.n + v
         while t.size:
-            t, v, visited = next_level(csr, probs, t, v, salts, visited)
+            t, v, visited = next_level(csr, probs, t, v, mixes, visited)
             t, v = settle(t, v)
     return lab, visits, seen
 
@@ -188,23 +193,26 @@ def get_center(
     center_index: np.ndarray,
     labels: np.ndarray,
     sizes: np.ndarray,
-    r: int,
+    r: int | np.ndarray,
     v: int,
     seeds_mask: np.ndarray,
-) -> tuple[int, int, int]:
+) -> tuple:
     """(marginal δ of v on sketch r, CC label or -1, #BFS visits).
 
-    δ reads ``sizes`` as given: labels zeroed by MarkSeed are applied by
-    :func:`evaluate_batch`, not here.
+    For an array ``r`` (MarkSeed's R sketches) the pairs run as one block
+    and each of the three is an array. δ reads ``sizes`` as given: labels
+    zeroed by MarkSeed are applied by :func:`evaluate_batch`, not here.
     """
+    rs = np.atleast_1d(np.asarray(r, dtype=np.int64))
     lab, visits, seen = _get_centers(
         csr, probs, center_index, labels, seeds_mask,
-        np.array([v], dtype=np.int64), np.array([r], dtype=np.int64),
+        np.full(len(rs), v, dtype=np.int64), rs,
     )
-    lab, nv = int(lab[0]), int(visits[0])
-    if lab >= 0:
-        return int(sizes[r, lab]), lab, nv
-    return (0 if seen[0] else nv), -1, nv
+    delta = np.where(seen, 0, visits)
+    hit = lab >= 0
+    delta[hit] = sizes[rs[hit], lab[hit]]
+    out = delta, lab, visits
+    return out if np.ndim(r) else tuple(int(a[0]) for a in out)
 
 
 def evaluate_batch(
@@ -280,17 +288,16 @@ class LocalEvaluator:
         )
 
     def mark_seed(self, v: int) -> None:
-        """Paper's MarkSeed: zero the CC of v on every sketch whose CC
-        has a center, by marking its label in ``zeroed``."""
+        """Paper's MarkSeed: zero the CC of v on every sketch whose CC has
+        a center, by marking its label in ``zeroed``. One GetCenter block."""
         v = int(v)
-        for r in range(self.sk.R):
-            _, lab, nv = get_center(
-                self.csr, self.probs, self.sk.center_index,
-                self.sk.labels, self.sk.sizes, r, v, self.seeds_mask,
-            )
-            self.n_visits += nv
-            if lab >= 0:
-                self.zeroed[r, lab] = True
+        rs = np.arange(self.sk.R)
+        _, lab, visits = get_center(
+            self.csr, self.probs, self.sk.center_index,
+            self.sk.labels, self.sk.sizes, rs, v, self.seeds_mask,
+        )
+        self.n_visits += int(visits.sum())
+        self.zeroed[rs[lab >= 0], lab[lab >= 0]] = True
         self.seeds.append(v)
         self.seeds_mask[v] = True
 

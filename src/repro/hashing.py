@@ -8,9 +8,13 @@ with a splitmix64 finalizer over uint64 numpy arrays so the same bits are
 produced on the driver and inside every pandas-UDF task.
 
 All public functions are pure and vectorized; overflow wraps mod 2**64
-(C semantics), which numpy guarantees for unsigned dtypes.
+(C semantics). Array ufuncs wrap silently but numpy scalars warn
+(numpy 1.26.4), so :func:`splitmix64` runs 0-d input as a 1-element array
+and no ``np.errstate`` is needed.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,10 +27,11 @@ _TWO64 = float(2.0**64)
 def splitmix64(x: np.ndarray | int) -> np.ndarray:
     """splitmix64 finalizer: a high-quality 64-bit mixing function."""
     x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _M1
-        x = (x ^ (x >> np.uint64(27))) * _M2
-        return x ^ (x >> np.uint64(31))
+    if x.ndim == 0:
+        return splitmix64(x.reshape(1))[0]
+    x = (x ^ (x >> np.uint64(30))) * _M1
+    x = (x ^ (x >> np.uint64(27))) * _M2
+    return x ^ (x >> np.uint64(31))
 
 
 def edge_key(u: np.ndarray | int, v: np.ndarray | int) -> np.ndarray:
@@ -39,21 +44,35 @@ def edge_key(u: np.ndarray | int, v: np.ndarray | int) -> np.ndarray:
     v = np.asarray(v, dtype=np.uint64)
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    with np.errstate(over="ignore"):
-        return splitmix64((lo << np.uint64(32)) ^ hi)
+    return splitmix64((lo << np.uint64(32)) ^ hi)
+
+
+_MIX0 = splitmix64(_GOLDEN)  # splitmix64(salt·G + G) of salt 0
+
+
+def salt_mix(salts: np.ndarray) -> np.ndarray:
+    """Each salt's share of :func:`u01`, 0 for salt 0:
+    ``u01(key ^ salt_mix(salts)[i], 0) == u01(key, salts[i])`` bit for bit.
+    The BFS kernel mixes a traversal's salt once and XORs the mix into the
+    key of every arc the traversal expands."""
+    salts = np.atleast_1d(np.asarray(salts, dtype=np.uint64))
+    return splitmix64(salts * _GOLDEN + _GOLDEN) ^ _MIX0
 
 
 def u01(key: np.ndarray | int, salt: int) -> np.ndarray:
-    """Uniform [0, 1) double derived from ``key`` and an integer ``salt``.
+    """Uniform [0, 1) double derived from ``key`` and a scalar ``salt``.
 
     ``salt`` is the sketch / simulation id (plus a stream offset chosen by
     the caller so sketches, RR sets, and MC simulations never share
-    randomness).
+    randomness). Many salts at once go through :func:`salt_mix`.
     """
     key = np.asarray(key, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        mixed = splitmix64(key ^ splitmix64(np.uint64(salt) * _GOLDEN + _GOLDEN))
-    return mixed.astype(np.float64) / _TWO64
+    return splitmix64(key ^ _mix(int(salt))).astype(np.float64) / _TWO64
+
+
+@functools.lru_cache(maxsize=4096)
+def _mix(salt: int) -> np.uint64:  # tiny-array ufuncs cost µs: once per salt
+    return salt_mix(salt)[0] ^ _MIX0
 
 
 # Disjoint salt streams. Each consumer offsets its logical id by one of

@@ -193,3 +193,32 @@ def test_blocked_batch_matches_singles_and_brute_force(graph, alpha):
     assert batch_visits == single_visits
     assert batch.tolist() == [brute_marginal(csr, probs, R, v, seeds) for v in vs]
 
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("graph", ["rmat", "grid"])
+def test_mark_seed_block_equals_single_get_centers(graph, alpha):
+    """MarkSeed runs its R GetCenters as one block; it zeroes the labels
+    and counts the visits of R scalar ``get_center`` calls, whose results
+    the array form of ``get_center`` also returns."""
+    gen, n, p = GRAPH_CASES[graph]
+    csr = build_csr(gen(), n=n)
+    probs = consistent_probs(csr, p)
+    sk = build_sketches_local(csr, probs, R=16, alpha=alpha)
+    ev = LocalEvaluator(csr, probs, sk)
+    ev.mark_seed(1)
+    # A vertex that is no center, so its pairs traverse (every vertex is
+    # one at α=1, where all R pairs settle at level 0).
+    v = int(np.argmin(sk.center_index[n // 2 :])) + n // 2
+    args = (csr, probs, sk.center_index, sk.labels, sk.sizes)
+    singles = [get_center(*args, r, v, ev.seeds_mask) for r in range(sk.R)]
+    zeroed = ev.zeroed.copy()
+    for r, (_, lab, _) in enumerate(singles):
+        if lab >= 0:
+            zeroed[r, lab] = True
+
+    block = get_center(*args, np.arange(sk.R), v, ev.seeds_mask)
+    assert [a.tolist() for a in block] == [list(col) for col in zip(*singles)]
+    visits0 = ev.n_visits
+    ev.mark_seed(v)
+    assert ev.n_visits - visits0 == sum(nv for _, _, nv in singles)
+    assert np.array_equal(ev.zeroed, zeroed)

@@ -1,4 +1,6 @@
 """Unit tests for the deterministic hash sampler (fusion trick)."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.hashing import (
     SALT_SIM,
     SALT_SKETCH,
     edge_key,
+    salt_mix,
     splitmix64,
     u01,
 )
@@ -95,3 +98,48 @@ def test_sampling_independent_across_sketches():
     b = u01(keys, SALT_SKETCH + 1) < 0.5
     joint = (a & b).mean()
     assert abs(joint - 0.25) < 0.01
+
+
+@pytest.mark.parametrize("stream", [SALT_SKETCH, SALT_SIM, SALT_RR, SALT_PROB])
+def test_premixed_u01_equals_u01(stream):
+    # The BFS kernel's form: one mix per salt, XORed into each arc key.
+    rng = np.random.default_rng(stream)
+    keys = rng.integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)
+    salts = stream + rng.integers(0, 4096, 5000)
+    want = np.array([u01(k, int(s)) for k, s in zip(keys[:300], salts[:300])])
+    got = u01(keys ^ salt_mix(salts), 0)
+    assert np.array_equal(got[:300].view(np.uint64), want.view(np.uint64))
+    for s in np.unique(salts)[:20]:
+        mine = salts == s
+        assert np.array_equal(got[mine], u01(keys[mine], int(s)))
+    assert salt_mix(0).tolist() == [0]
+
+
+SCALARS = [0, 1, 7, 12345, 2**32 + 5, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("x", SCALARS)
+def test_scalar_inputs_raise_no_overflow_warning(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (x, np.asarray(x, dtype=np.uint64)):
+            splitmix64(arg)
+            salt_mix(arg)
+            edge_key(arg, 2**32 - 1)
+            edge_key(3, arg % 2**32)
+            u01(arg, SALT_SKETCH + 3)
+            u01(7, x)
+
+
+def test_array_results_equal_scalar_results():
+    xs = np.array(SCALARS, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert splitmix64(xs).tolist() == [int(splitmix64(int(x))) for x in xs]
+        assert salt_mix(xs).tolist() == [int(salt_mix(int(x))[0]) for x in xs]
+        assert u01(xs, 9).tolist() == [float(u01(int(x), 9)) for x in xs]
+        assert u01(xs, 9).tolist() == [float(u01(np.asarray(x), 9)) for x in xs]
+        vs = xs % np.uint64(2**32)
+        assert edge_key(vs, vs[::-1]).tolist() == [
+            int(edge_key(int(a), int(b))) for a, b in zip(vs, vs[::-1])
+        ]
