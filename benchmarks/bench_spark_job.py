@@ -16,6 +16,13 @@ seeds marked before it, forced onto the driver or into a Spark job.
 batch in that selection (the unit of ``_DRIVER_VISITS``) and its actual
 visits.
 
+Setting ``_DRIVER_VISITS`` takes several runs of this file: a job's
+median moves between runs far more than the driver's, and drops once the
+session has run other jobs. On a 4-core box, over 5 runs of
+``test_evaluate_placement``, the 416k-visit batch took 150–261 ms as a
+job, and within one run the three 1-vertex jobs read 104, 105 and 451 ms;
+a single run can put the crossover anywhere from ~220k to ~420k.
+
     PYTHONPATH=src python -m pytest benchmarks/bench_spark_job.py -p no:cacheprovider
 """
 import numpy as np

@@ -11,8 +11,8 @@ parameter choice here:
 - ``0<alpha<1`` → PaC-IM compressed sketches;
 - ``selector`` ∈ {'celf', 'ptree', 'wintree'} — sequential vs parallel
   seed selection;
-- ``backend`` ∈ {'local', 'spark'} — driver only, or Spark jobs for the
-  sketches and large evaluation batches.
+- ``backend`` ∈ {'local', 'spark'} — driver only, or Spark jobs for
+  large evaluation batches (sketches build on the driver either way).
 """
 from __future__ import annotations
 
@@ -53,9 +53,10 @@ def run_pacim(
     """Run PaC-IM and return seeds + full instrumentation.
 
     ``graph`` is a CSR or a canonical edge list. ``backend='spark'``
-    requires ``spark`` and dispatches sketch construction and every
-    evaluation batch above the Spark job floor as Spark jobs (counted by
-    ``n_spark_jobs``); ``backend='local'`` runs everything driver-side.
+    requires ``spark`` and runs each evaluation batch above the Spark job
+    floor as a Spark job (counted by ``n_spark_jobs``), the sketch build
+    and every smaller batch on the driver; ``backend='local'`` runs
+    everything driver-side.
     """
     csr = graph if isinstance(graph, CSR) else build_csr(graph)
     if not 0.0 <= alpha <= 1.0:

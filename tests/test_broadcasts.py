@@ -42,7 +42,7 @@ def _entry_points(spark) -> dict:
 def test_spark_entry_points_release_broadcasts(spark, made):
     res = _entry_points(spark)
     assert res["n_spark_jobs"] == 0
-    assert len(made) == 4  # three one-shot jobs, then sketches
+    assert len(made) == 2  # MC and RR; both sketch builds run on the driver
     assert not any(b._jbroadcast.isValid() for b in made)
 
 
@@ -50,7 +50,7 @@ def test_evaluation_jobs_release_broadcasts(spark, made, monkeypatch):
     monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
     res = _entry_points(spark)
     assert res["n_spark_jobs"] > 0
-    assert len(made) == 4 + res["n_spark_jobs"]  # one per evaluation job
+    assert len(made) == 2 + res["n_spark_jobs"]  # one per evaluation job
     assert not any(b._jbroadcast.isValid() for b in made)
 
 

@@ -1,5 +1,6 @@
 """Spark execution paths must agree bit-for-bit with the local kernels:
-sketch construction, batch evaluation, MC simulation, RR generation."""
+batch evaluation, MC simulation, RR generation, and the Spark backend's
+sketch build, which runs on the driver."""
 import collections
 
 import numpy as np
@@ -26,13 +27,22 @@ def graph():
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0])
 def test_sketch_build_parity(spark, graph, alpha):
+    """The Spark backend's build is the driver build, bit for bit, and
+    submits no Spark job."""
     csr, probs = graph
-    a = build_sketches(spark, csr, probs, R=8, alpha=alpha)
+    sc = spark.sparkContext
+    group = f"sketch-build-{alpha}"
+    sc.setJobGroup(group, "sketch build")
+    try:
+        a = build_sketches(spark, csr, probs, R=8, alpha=alpha)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setJobDescription(None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
     b = build_sketches_local(csr, probs, R=8, alpha=alpha)
-    assert np.array_equal(a.centers, b.centers)
-    assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.sizes, b.sizes)
-    assert np.allclose(a.init_scores, b.init_scores)
+    for key in ("centers", "center_index", "labels", "sizes", "init_scores"):
+        x, y = getattr(a, key), getattr(b, key)
+        assert x.dtype == y.dtype and np.array_equal(x, y), key
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
