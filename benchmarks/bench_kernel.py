@@ -1,25 +1,32 @@
 """Micro-benchmarks of the evaluation kernel: one 256-vertex
 ``LocalEvaluator.evaluate`` (256 x R (vertex, sketch) GetCenter pairs), and
-one ``LocalEvaluator.mark_seed`` (R pairs of the top-scoring vertex).
+one ``LocalEvaluator.mark_seed`` (R pairs of the top-scoring vertex); and of
+the MC kernel: 256 simulations of 10 seeds.
 
 Two graph classes at three memoization levels: a scale-free RMAT graph
 (n=8192, supercritical at p=0.1, so compressed sketches walk ~1/α
 vertices per pair) and the 110x110 road grid (subcritical at p=0.2, so
-most pairs exhaust a small component). α=1 is the pure array lookup.
+most pairs exhaust a small component). α=1 is the pure array lookup. MC
+runs as sampled CC on the RMAT graph and as BFS on the grid, one on each
+side of ``baselines.simulate``'s rule.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py -p no:cacheprovider
 """
 import numpy as np
 import pytest
 
+from repro.baselines import simulate
+from repro.cc.local_cc import cc_labels
 from repro.core.evaluate import LocalEvaluator
 from repro.core.sketches import build_sketches_local
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import grid2d, rmat
 from repro.graphs.probs import consistent_probs
+from repro.hashing import SALT_SIM
 
 R = 32
 BATCH = 256
+SIMS = 256
 GRAPHS = {
     "rmat8k": (lambda: rmat(8192, 64000, seed=41), 8192, 0.1),
     "grid110": (lambda: grid2d(110, 110), 110 * 110, 0.2),
@@ -63,3 +70,23 @@ def test_kernel_mark_seed(benchmark, graph, alpha):
     benchmark.extra_info["pairs"] = R
     benchmark.extra_info["visits"] = ev.n_visits
     assert ev.evaluate(np.array([v]))[0] == 0.0
+
+
+def test_kernel_spread(benchmark, graph, monkeypatch):
+    csr, probs = graph
+    seeds = np.random.default_rng(7).choice(csr.n, 10, replace=False)
+    salts = SALT_SIM + np.arange(SIMS)
+    cc_blocks = []
+
+    def counted(*args):
+        cc_blocks.append(1)
+        return cc_labels(*args)
+
+    monkeypatch.setattr(simulate, "cc_labels", counted)
+    counts = benchmark.pedantic(simulate._spreads,
+                                args=(csr, probs, seeds, salts),
+                                rounds=3, iterations=1)
+    benchmark.extra_info["sims"] = SIMS
+    benchmark.extra_info["cc_blocks"] = len(cc_blocks) // 3
+    benchmark.extra_info["mean_spread"] = float(counts.mean())
+    assert (counts >= len(seeds)).all()

@@ -272,8 +272,11 @@ class LocalEvaluator:
         return self.sk.init_scores.copy()
 
     def evaluate(self, vs: np.ndarray) -> np.ndarray:
-        """True marginal gains of a batch; one parallel round."""
+        """True marginal gains of a batch; one parallel round. Ids outside
+        [0, n) raise ``ValueError`` before the batch is placed."""
         vs = np.asarray(vs, dtype=np.int64)
+        if not np.all((0 <= vs) & (vs < self.csr.n)):
+            raise ValueError(f"vertex ids must be in [0, {self.csr.n})")
         means, visits = self._batch(vs)
         self.n_reevals += len(vs)
         self.n_jobs += 1

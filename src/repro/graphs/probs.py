@@ -21,7 +21,10 @@ from repro.hashing import SALT_PROB, u01
 
 def check_probs(csr: CSR, probs) -> np.ndarray:
     """``probs`` as float64 if it holds one finite value in [0, 1] per arc
-    of ``csr``; otherwise a ``ValueError``."""
+    of ``csr``, the same for both arcs of an edge; otherwise a
+    ``ValueError``. The graph is undirected: an edge whose arcs differ
+    would be live from one endpoint and dead from the other, so MC, the
+    sketches and GetCenter would each read a different graph."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != csr.adj.shape:
         raise ValueError(
@@ -30,6 +33,11 @@ def check_probs(csr: CSR, probs) -> np.ndarray:
         )
     if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both
         raise ValueError("probs must be finite and in [0, 1]")
+    # An edge's two arcs share its key, and distinct edges have distinct
+    # keys, so sorting by key puts each edge's arcs side by side.
+    pairs = probs[np.argsort(csr.arc_key)].reshape(-1, 2)
+    if (pairs[:, 0] != pairs[:, 1]).any():
+        raise ValueError("probs must be equal on both arcs of every edge")
     return probs
 
 

@@ -60,8 +60,11 @@ def test_failed_evaluation_job_releases_its_broadcast(spark, made, monkeypatch):
     probs = consistent_probs(csr, 0.12)
     sk = build_sketches_local(csr, probs, R=4, alpha=0.2)
     ev = SparkEvaluator(spark, csr, probs, sk)
+    # evaluate rejects bad vertex ids before placement, so the task fails
+    # on a seed id instead: out of range only inside the task.
+    ev.seeds.append(csr.n + 5)
     with pytest.raises(PythonException, match="IndexError"):
-        ev.evaluate(np.array([csr.n + 5]))  # out of range inside the task
+        ev.evaluate(np.array([3]))
     assert ev.n_spark_jobs == ev.n_jobs == 0
     assert len(made) == 1
     assert not made[0]._jbroadcast.isValid()

@@ -222,3 +222,37 @@ def test_mark_seed_block_equals_single_get_centers(graph, alpha):
     ev.mark_seed(v)
     assert ev.n_visits - visits0 == sum(nv for _, _, nv in singles)
     assert np.array_equal(ev.zeroed, zeroed)
+
+
+@pytest.mark.parametrize("ids", [[-1], [0, 200], [3, 250, 5]],
+                         ids=["minus-1", "n", "above-n"])
+@pytest.mark.parametrize("backend", ["local", "spark"])
+def test_evaluate_rejects_bad_ids(request, monkeypatch, er_setup, backend, ids):
+    """Ids outside [0, n) raise ValueError before the batch is placed: no
+    Spark job is submitted and no counter moves. The message match keeps
+    numpy's own errors from passing."""
+    csr, probs, sk = er_setup
+    assert csr.n == 200
+    if backend == "local":
+        ev = LocalEvaluator(csr, probs, sk)
+        with pytest.raises(ValueError, match="vertex ids"):
+            ev.evaluate(np.array(ids))
+    else:
+        from repro.core import evaluate as evaluate_mod
+        from repro.core.evaluate import SparkEvaluator
+
+        spark = request.getfixturevalue("spark")
+        monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)  # every batch a job
+        ev = SparkEvaluator(spark, csr, probs, sk)
+        sc = spark.sparkContext
+        group = f"bad-ids-{'-'.join(map(str, ids))}"
+        sc.setJobGroup(group, "rejected evaluation batch")
+        try:
+            with pytest.raises(ValueError, match="vertex ids"):
+                ev.evaluate(np.array(ids))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setJobDescription(None)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+        assert ev.n_spark_jobs == 0
+    assert (ev.n_reevals, ev.n_jobs, ev.n_visits) == (0, 0, 0)

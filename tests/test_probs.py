@@ -5,6 +5,7 @@ import pytest
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.probs import (
+    check_probs,
     consistent_probs,
     make_probs,
     uniform_probs,
@@ -96,3 +97,17 @@ def test_make_probs_unknown(csr):
 def test_make_probs_rejects_bad_parameters(csr, model, kw):
     with pytest.raises(ValueError):
         make_probs(csr, model, **kw)
+
+
+def test_check_probs_rejects_asymmetric_arcs(csr):
+    # One edge, live from vertex 0 and dead from vertex 1: MC, the sketches
+    # and GetCenter would each read a different graph.
+    one = build_csr(np.array([[0, 1]]), n=2)
+    with pytest.raises(ValueError, match="both arcs"):
+        check_probs(one, [1.0, 0.0])
+    assert np.array_equal(check_probs(one, [0.5, 0.5]), [0.5, 0.5])
+    probs = uniform_probs(csr, 0.0, 1.0)
+    check_probs(csr, probs)
+    probs[7] = 1.0 - probs[7]  # one arc of one edge
+    with pytest.raises(ValueError, match="both arcs"):
+        check_probs(csr, probs)

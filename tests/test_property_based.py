@@ -3,16 +3,19 @@
 These attack the data structures with random operation sequences and
 compare against trivially correct models — the failure modes unit tests
 with fixed inputs tend to miss (rotation bugs in the treap, stale-flag
-bugs in the tournament tree, hook/compress bugs in CC).
+bugs in the tournament tree, hook/compress bugs in CC, an MC block whose
+sampled-CC count drifts from its BFS count).
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.simulate import _cc_block, _edge_view, _spread_once
 from repro.cc.local_cc import cc_labels
 from repro.core.ptree import PTree
 from repro.core.wintree import WinTree
+from repro.graphs.csr import build_csr
 from repro.graphs.generators import _canonicalize
-from repro.hashing import edge_key, u01
+from repro.hashing import SALT_SIM, edge_key, u01
 
 
 @st.composite
@@ -127,3 +130,27 @@ def test_canonicalize_properties(pairs):
     # every non-loop input pair is represented
     want = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
     assert {tuple(e) for e in edges} == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_mc_cc_block_equals_bfs_block(n, data):
+    """An MC block counted as sampled CC gives every simulation the count
+    of its own BFS, on random graphs with random per-edge probabilities
+    (both arcs of an edge alike), seeds and salts."""
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=90))
+    edges = _canonicalize(np.array([a for a, _ in pairs], dtype=np.int64),
+                          np.array([b for _, b in pairs], dtype=np.int64))
+    csr = build_csr(edges, n=n)
+    edge_p = data.draw(st.lists(st.floats(0, 1), min_size=len(edges),
+                                max_size=len(edges)))
+    by_key = dict(zip(edge_key(edges[:, 0], edges[:, 1]).tolist(), edge_p))
+    probs = np.array([by_key[k] for k in csr.arc_key.tolist()], dtype=np.float64)
+    seeds = np.unique(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         max_size=5)))
+    salts = SALT_SIM + np.array(data.draw(st.lists(
+        st.integers(0, 2**40), min_size=2, max_size=8)), dtype=np.int64)
+    got = _cc_block(n, _edge_view(csr, probs), seeds, salts)
+    want = [_spread_once(csr, probs, seeds, s) for s in salts]
+    assert got.tolist() == want

@@ -2,15 +2,18 @@
 import numpy as np
 import pytest
 
+from repro.baselines import simulate
 from repro.baselines.simulate import (
     _SIM_BLOCK,
     _spread_once,
+    _spreads,
     estimate_spread,
     estimate_spread_local,
 )
+from repro.cc.local_cc import cc_labels
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi
-from repro.graphs.probs import consistent_probs
+from repro.graphs.generators import erdos_renyi, grid2d, rmat
+from repro.graphs.probs import consistent_probs, uniform_probs
 from repro.hashing import SALT_SIM, u01
 
 
@@ -118,6 +121,18 @@ def test_blocked_simulations_equal_single_ones(sim_offset):
     assert len(set(singles)) > 1  # the simulations really differ
 
 
+def _runner(request, backend):
+    """The estimator of ``backend``, called like ``estimate_spread_local``."""
+    if backend == "local":
+        return estimate_spread_local
+    spark = request.getfixturevalue("spark")
+
+    def run(*args, **kwargs):
+        return estimate_spread(spark, *args, **kwargs)
+
+    return run
+
+
 @pytest.mark.parametrize(
     "seeds,n_sims,match",
     [([0], 0, "n_sims"), ([0], -3, "n_sims"), ([], 0, "n_sims"),
@@ -129,13 +144,52 @@ def test_rejects_bad_arguments(request, backend, seeds, n_sims, match):
     # match keeps an unrelated numpy ValueError from passing.
     csr = build_csr(erdos_renyi(30, 60, seed=2), n=30)
     probs = consistent_probs(csr, 0.3)
-    if backend == "local":
-        run = estimate_spread_local
-    else:
-        spark = request.getfixturevalue("spark")
-
-        def run(*args, **kwargs):
-            return estimate_spread(spark, *args, **kwargs)
-
+    run = _runner(request, backend)
     with pytest.raises(ValueError, match=match):
         run(csr, probs, seeds, n_sims=n_sims)
+
+
+@pytest.mark.parametrize("bad", ["short", "asymmetric", "above-1"])
+@pytest.mark.parametrize("backend", ["local", "spark"])
+def test_rejects_bad_probs(request, backend, bad):
+    # Checked at the boundary: a short array used to fail deep in the BFS
+    # with an IndexError, and asymmetric arcs made MC read a directed graph.
+    csr = build_csr(erdos_renyi(30, 60, seed=2), n=30)
+    probs = uniform_probs(csr, 0.1, 0.4)
+    if bad == "short":
+        probs = probs[:-1]
+    elif bad == "asymmetric":
+        probs[0] = 0.9
+    else:
+        probs[:] = 1.5
+    run = _runner(request, backend)
+    with pytest.raises(ValueError, match="probs"):
+        run(csr, probs, [0, 1], n_sims=8)
+
+
+@pytest.mark.parametrize(
+    "gen,n,p,cc_blocks",
+    [(lambda: rmat(1024, 8000, seed=11), 1024, 0.1, 7),
+     (lambda: grid2d(110, 110), 110 * 110, 0.2, 0)],
+    ids=["rmat-p0.1", "grid110-p0.2"])
+def test_cc_path_taken_where_seeds_reach_most_edges(monkeypatch, gen, n, p,
+                                                    cc_blocks):
+    """Supercritical RMAT: the first BFS block expands more arcs than the
+    b·m coins of a CC pass, so the other 7 of 8 blocks run as sampled CC.
+    The subcritical grid stays on BFS. Either way every simulation's count
+    equals its own one-simulation BFS."""
+    csr = build_csr(gen(), n=n)
+    probs = consistent_probs(csr, p)
+    seeds = np.array([3, 40, 500, 999])
+    salts = SALT_SIM + np.arange(8 * _SIM_BLOCK)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return cc_labels(*args)
+
+    monkeypatch.setattr(simulate, "cc_labels", counted)
+    counts = _spreads(csr, probs, seeds, salts)
+    assert calls == [_SIM_BLOCK * n] * cc_blocks
+    singles = [_spread_once(csr, probs, seeds, s) for s in salts]
+    assert counts.tolist() == singles
