@@ -29,9 +29,9 @@ def print_table4(rows, title: str) -> None:
                 fmt(r["rel_influence"]["ripples"], 3),
                 fmt(r["time_s"]["ours1"], 2), fmt(r["time_s"]["ours01"], 2),
                 fmt(r["time_s"]["infusermg"], 2), fmt(r["time_s"]["ripples"], 2),
-                fmt(r["mem_mb"]["csr"], 1), fmt(r["mem_mb"]["ours1"], 1),
-                fmt(r["mem_mb"]["ours01"], 1), fmt(r["mem_mb"]["infusermg"], 1),
-                fmt(r["mem_mb"]["ripples"], 1),
+                fmt(r["mem_mb"]["csr"], 3), fmt(r["mem_mb"]["ours1"], 3),
+                fmt(r["mem_mb"]["ours01"], 3), fmt(r["mem_mb"]["infusermg"], 3),
+                fmt(r["mem_mb"]["ripples"], 3),
                 fmt(r["eval_jobs"]["ours1"]), fmt(r["eval_jobs"]["ours01"]),
                 fmt(r["eval_jobs"]["infusermg"]),
             ]
@@ -64,7 +64,7 @@ def main(quick: bool = False, alpha_sweep: bool = False) -> None:
             )
             out.append(
                 [fmt(a), fmt(res["sketch_time"], 1), fmt(res["select_time"], 1),
-                 fmt(res["space"]["total_bytes"] / 1e6, 1),
+                 fmt(res["space"]["total_bytes"] / 1e6, 3),
                  fmt(res["n_visits"] / max(res["n_reevals"], 1) / res["R"], 2)]
             )
         print_markdown(

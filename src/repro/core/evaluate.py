@@ -133,11 +133,18 @@ def sampled_levels(
         yield level
 
 
+def _label(cc: np.ndarray, rs: np.ndarray, ci: np.ndarray) -> np.ndarray:
+    """CC label of center index ``ci[i]`` on sketch ``rs[i]``: ``ci`` itself
+    at a representative (``cc`` holds -size), else the label ``cc`` holds."""
+    p = cc[rs, ci]
+    return np.where(p < 0, ci, p)
+
+
 def _get_centers(
     csr: CSR,
     probs: np.ndarray,
     center_index: np.ndarray,
-    labels: np.ndarray,
+    cc: np.ndarray,
     seeds_mask: np.ndarray,
     vs: np.ndarray,
     rs: np.ndarray,
@@ -154,7 +161,7 @@ def _get_centers(
     ci = center_index[vs]
     at_center = ci >= 0
     lab = np.full(len(vs), -1, dtype=np.int64)
-    lab[at_center] = labels[rs[at_center], ci[at_center]]
+    lab[at_center] = _label(cc, rs[at_center], ci[at_center])
     visits = np.ones(len(vs), dtype=np.int64)
     seen = seeds_mask[vs]
 
@@ -170,7 +177,7 @@ def _get_centers(
         seen[t] |= np.logical_or.reduceat(seeds_mask[verts], first)
         best = np.maximum.reduceat(center_index[verts], first)
         hit = best >= 0
-        lab[t[hit]] = labels[rs[t[hit]], best[hit]]
+        lab[t[hit]] = _label(cc, rs[t[hit]], best[hit])
         keep = np.repeat(~hit, counts)
         return tids[keep], verts[keep]
 
@@ -191,8 +198,7 @@ def get_center(
     csr: CSR,
     probs: np.ndarray,
     center_index: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
+    cc: np.ndarray,
     r: int | np.ndarray,
     v: int,
     seeds_mask: np.ndarray,
@@ -200,17 +206,18 @@ def get_center(
     """(marginal δ of v on sketch r, CC label or -1, #BFS visits).
 
     For an array ``r`` (MarkSeed's R sketches) the pairs run as one block
-    and each of the three is an array. δ reads ``sizes`` as given: labels
-    zeroed by MarkSeed are applied by :func:`evaluate_batch`, not here.
+    and each of the three is an array. δ reads the CC size from ``cc`` as
+    given: labels zeroed by MarkSeed are applied by :func:`evaluate_batch`,
+    not here.
     """
     rs = np.atleast_1d(np.asarray(r, dtype=np.int64))
     lab, visits, seen = _get_centers(
-        csr, probs, center_index, labels, seeds_mask,
+        csr, probs, center_index, cc, seeds_mask,
         np.full(len(rs), v, dtype=np.int64), rs,
     )
     delta = np.where(seen, 0, visits)
     hit = lab >= 0
-    delta[hit] = sizes[rs[hit], lab[hit]]
+    delta[hit] = -cc[rs[hit], lab[hit]]
     out = delta, lab, visits
     return out if np.ndim(r) else tuple(int(a[0]) for a in out)
 
@@ -219,8 +226,7 @@ def evaluate_batch(
     csr: CSR,
     probs: np.ndarray,
     center_index: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
+    cc: np.ndarray,
     vs: np.ndarray,
     seeds_mask: np.ndarray,
     zeroed: np.ndarray,
@@ -228,17 +234,17 @@ def evaluate_batch(
     """(per-vertex mean δ over the R sketches, total BFS visits).
 
     ``zeroed`` is the (R, ρ) mask of labels whose CC holds a seed; those
-    labels count as δ = 0 whatever ``sizes`` says.
+    labels count as δ = 0 whatever size ``cc`` holds.
     """
-    R = labels.shape[0]
+    R = cc.shape[0]
     rs = np.tile(np.arange(R), len(vs))
     lab, visits, seen = _get_centers(
-        csr, probs, center_index, labels, seeds_mask, np.repeat(vs, R), rs
+        csr, probs, center_index, cc, seeds_mask, np.repeat(vs, R), rs
     )
     deltas = np.where(seen, 0, visits).astype(np.float64)
     hit = lab >= 0
     rs, lab = rs[hit], lab[hit]
-    deltas[hit] = np.where(zeroed[rs, lab], 0, sizes[rs, lab])
+    deltas[hit] = np.where(zeroed[rs, lab], 0, -cc[rs, lab])
     return deltas.reshape(len(vs), R).mean(axis=1), int(visits.sum())
 
 
@@ -262,7 +268,7 @@ class LocalEvaluator:
         self.sk = sketches
         self.seeds: list[int] = []
         self.seeds_mask = np.zeros(csr.n, dtype=bool)
-        self.zeroed = np.zeros(sketches.sizes.shape, dtype=bool)
+        self.zeroed = np.zeros(sketches.cc.shape, dtype=bool)
         self.n_reevals = 0
         self.n_jobs = 0
         self.n_visits = 0
@@ -286,8 +292,8 @@ class LocalEvaluator:
     def _batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
         """:func:`evaluate_batch` of ``vs`` on the driver."""
         return evaluate_batch(
-            self.csr, self.probs, self.sk.center_index, self.sk.labels,
-            self.sk.sizes, vs, self.seeds_mask, self.zeroed,
+            self.csr, self.probs, self.sk.center_index, self.sk.cc,
+            vs, self.seeds_mask, self.zeroed,
         )
 
     def mark_seed(self, v: int) -> None:
@@ -296,8 +302,8 @@ class LocalEvaluator:
         v = int(v)
         rs = np.arange(self.sk.R)
         _, lab, visits = get_center(
-            self.csr, self.probs, self.sk.center_index,
-            self.sk.labels, self.sk.sizes, rs, v, self.seeds_mask,
+            self.csr, self.probs, self.sk.center_index, self.sk.cc,
+            rs, v, self.seeds_mask,
         )
         self.n_visits += int(visits.sum())
         self.zeroed[rs[lab >= 0], lab[lab >= 0]] = True
@@ -352,10 +358,10 @@ class SparkEvaluator(LocalEvaluator):
             csr, probs, sk = shared
             seeds_mask = np.zeros(csr.n, dtype=bool)
             seeds_mask[seeds] = True
-            zmask = np.zeros(sk.sizes.shape, dtype=bool)
+            zmask = np.zeros(sk.cc.shape, dtype=bool)
             zmask.flat[zeroed] = True
             means, visits = evaluate_batch(
-                csr, probs, sk.center_index, sk.labels, sk.sizes,
+                csr, probs, sk.center_index, sk.cc,
                 vs[pos], seeds_mask, zmask,
             )
             visits_col = np.zeros(len(pos), dtype=np.int64)

@@ -99,7 +99,7 @@ def run_pacim(
         "n_eval_jobs": sel.n_jobs,
         "n_visits": evaluator.n_visits,
         "n_spark_jobs": evaluator.n_spark_jobs,
-        "space": pacim_bytes(csr, sketches, sel.structure_bytes),
+        "space": pacim_bytes(csr, evaluator, sel.structure_bytes),
         "selector": selector,
         "alpha": alpha,
         "R": R,

@@ -3,11 +3,15 @@
 A sketch Φ_r is the CC structure of the hash-sampled graph G'_r,
 memoized **only for the ρ = αn centers**:
 
-- ``labels[r, i]`` — the smallest center *index* j such that center c_j
-  is in the same CC as center c_i on sketch r;
-- ``sizes[r, i]`` — the CC size, stored only where ``labels[r, i] == i``
-  (the representative), zeroed by ``MarkSeed`` once the CC contains a
-  seed.
+``cc[r, i]`` is one int32 per (sketch, center), union-find's
+parent-or-negated-size convention (Tarjan 1975; ConnectIt uses it too).
+The CC's *label* is the smallest center index j whose center c_j shares
+center c_i's CC on sketch r. At the representative (i is the label)
+``cc[r, i]`` is ``-size`` of the CC; anywhere else it is the label,
+which is strictly below i, so the two never collide. Decoding is two
+lookups: ``lab = i if cc[r, i] < 0 else cc[r, i]``, then
+``size = -cc[r, lab]``. ``MarkSeed`` never writes it (see
+``core.evaluate``).
 
 Sketches are independent, so construction could parallelize across them
 (Alg. 1 line 1) as one Spark job, but it runs on the driver for both
@@ -47,10 +51,9 @@ class Sketches:
 
     R: int
     alpha: float
-    centers: np.ndarray  # int64, sorted, len ρ
+    centers: np.ndarray  # int32, sorted, len ρ
     center_index: np.ndarray  # int32, len n, -1 for non-centers
-    labels: np.ndarray  # int32, (R, ρ)
-    sizes: np.ndarray  # int32, (R, ρ)
+    cc: np.ndarray  # int32, (R, ρ): label, or -size at the representative
     init_scores: np.ndarray  # float64, len n
 
     @property
@@ -58,18 +61,19 @@ class Sketches:
         return len(self.centers)
 
     def aux_bytes(self) -> int:
-        """Auxiliary sketch space: labels + sizes (4B each) + the
-        center flag array (paper: O((1 + αR)n))."""
-        return self.labels.nbytes + self.sizes.nbytes + self.center_index.nbytes
+        """Auxiliary sketch space: ``cc`` (4B per sketch and center) plus
+        the center directory, ``center_index`` and ``centers`` (paper:
+        O((1 + αR)n))."""
+        return self.cc.nbytes + self.center_index.nbytes + self.centers.nbytes
 
 
 def choose_centers(n: int, alpha: float, seed: int) -> np.ndarray:
-    """ρ = αn centers, uniformly at random (paper Sec. 3), sorted."""
+    """ρ = αn centers, uniformly at random (paper Sec. 3), sorted int32."""
     rho = int(round(alpha * n))
     if rho >= n:
-        return np.arange(n, dtype=np.int64)
+        return np.arange(n, dtype=np.int32)
     g = np.random.default_rng(seed)
-    return np.sort(g.choice(n, size=rho, replace=False)).astype(np.int64)
+    return np.sort(g.choice(n, size=rho, replace=False)).astype(np.int32)
 
 
 def sampled_arcs(
@@ -83,22 +87,19 @@ def sampled_arcs(
 
 def _one_sketch(
     csr: CSR, probs: np.ndarray, centers: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels_r, sizes_r, per-vertex CC size) for sketch r."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cc_r, per-vertex CC size) for sketch r."""
     us, vs = sampled_arcs(csr, probs, SALT_SKETCH + r)
     lab = cc_labels(csr.n, us, vs)
     comp_sizes = np.bincount(lab, minlength=csr.n)
     comp_of_center = lab[centers]
     uniq, inv = np.unique(comp_of_center, return_inverse=True)
+    idx = np.arange(len(centers), dtype=np.int64)
     min_center_idx = np.full(len(uniq), len(centers), dtype=np.int64)
-    np.minimum.at(min_center_idx, inv, np.arange(len(centers), dtype=np.int64))
-    labels_r = min_center_idx[inv].astype(np.int32)
-    sizes_r = np.where(
-        labels_r == np.arange(len(centers)),
-        comp_sizes[comp_of_center],
-        0,
-    ).astype(np.int32)
-    return labels_r, sizes_r, comp_sizes[lab]
+    np.minimum.at(min_center_idx, inv, idx)
+    labels_r = min_center_idx[inv]
+    cc_r = np.where(labels_r == idx, -comp_sizes[comp_of_center], labels_r)
+    return cc_r.astype(np.int32), comp_sizes[lab]
 
 
 def build_sketches_local(
@@ -106,11 +107,10 @@ def build_sketches_local(
 ) -> Sketches:
     """Driver-side construction of all R sketches."""
     centers = choose_centers(csr.n, alpha, center_seed)
-    labels = np.empty((R, len(centers)), dtype=np.int32)
-    sizes = np.empty_like(labels)
+    cc = np.empty((R, len(centers)), dtype=np.int32)
     vsum = np.zeros(csr.n, dtype=np.int64)
     for r in range(R):
-        labels[r], sizes[r], vsize = _one_sketch(csr, probs, centers, r)
+        cc[r], vsize = _one_sketch(csr, probs, centers, r)
         vsum += vsize
     center_index = np.full(csr.n, -1, dtype=np.int32)
     center_index[centers] = np.arange(len(centers), dtype=np.int32)
@@ -119,8 +119,7 @@ def build_sketches_local(
         alpha=alpha,
         centers=centers,
         center_index=center_index,
-        labels=labels,
-        sizes=sizes,
+        cc=cc,
         init_scores=vsum / R,
     )
 

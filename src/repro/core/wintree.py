@@ -48,17 +48,21 @@ class WinTree:
         while P < max(self.n, 2):
             P <<= 1
         self.P = P
-        self.ids = np.full(2 * P, -1, dtype=np.int64)
+        self.ids = np.full(2 * P, -1, dtype=np.int32)
         self.ids[P : P + self.n] = np.arange(self.n)
         for t in range(P - 1, 0, -1):
-            self.ids[t] = self._winner(self.ids[2 * t], self.ids[2 * t + 1])
+            self.ids[t] = self._winner(t)
 
     def _key(self, vid: int) -> tuple[float, int]:
         if vid < 0:
             return (-np.inf, 0)
         return key(self.stale[vid], vid)
 
-    def _winner(self, a: int, b: int) -> int:
+    def _winner(self, t: int) -> int:
+        """The id of internal node t's child with the higher key. Ids are
+        read as Python ints: numpy 1.26 takes ~1.3-1.9 µs to compare an
+        int32 scalar with an int, against ~0.05 µs for two ints."""
+        a, b = int(self.ids[2 * t]), int(self.ids[2 * t + 1])
         return a if self._key(a) >= self._key(b) else b
 
     def structure_bytes(self) -> int:
@@ -70,7 +74,7 @@ class WinTree:
         t = self.P + v
         while t > 1:
             t //= 2
-            self.ids[t] = self._winner(self.ids[2 * t], self.ids[2 * t + 1])
+            self.ids[t] = self._winner(t)
 
     def next_seed(self, evaluator, *, max_jobs: int | None = None) -> tuple[int, float, int]:
         """One NextSeed round; returns (seed, true score, #batches)."""
@@ -97,7 +101,7 @@ class WinTree:
                     if t < self.P:  # internal: descend into both children
                         visited.append(t)
                         for c in (2 * t, 2 * t + 1):
-                            nxt.append((c, self.ids[c] != vid))
+                            nxt.append((c, int(self.ids[c]) != vid))
                 frontier = nxt
             span = min(span + 1, _WAVE_DEPTHS)
             if to_eval:
@@ -111,7 +115,7 @@ class WinTree:
         # Up-sweep: restore the tournament invariant on visited nodes,
         # deepest first (they were visited depth by depth).
         for t in reversed(visited):
-            self.ids[t] = self._winner(self.ids[2 * t], self.ids[2 * t + 1])
+            self.ids[t] = self._winner(t)
         root = int(self.ids[1])
         return root, float(self.stale[root]), n_batches
 

@@ -58,7 +58,7 @@ def test_same_cc_as_seed_is_zero(er_setup):
         mates = np.flatnonzero(lab == lab[7])
         for w in mates[:3]:
             d, l, _ = get_center(
-                csr, probs, sk.center_index, sk.labels, sk.sizes,
+                csr, probs, sk.center_index, sk.cc,
                 r, int(w), ev.seeds_mask,
             )
             # A CC with a center is zeroed by its label, one without by
@@ -74,7 +74,7 @@ def test_get_center_label_semantics(er_setup):
         centers_set = set(sk.centers.tolist())
         for v in range(0, csr.n, 23):
             d, l, visits = get_center(
-                csr, probs, sk.center_index, sk.labels, sk.sizes,
+                csr, probs, sk.center_index, sk.cc,
                 r, v, np.zeros(csr.n, dtype=bool),
             )
             cc = np.flatnonzero(lab == lab[v])
@@ -103,17 +103,17 @@ def test_visits_bounded_by_cc_size(er_setup):
 def test_mark_seed_zeroes_labels(er_setup):
     csr, probs, sk = er_setup
     ev = LocalEvaluator(csr, probs, sk)
-    sizes = sk.sizes.copy()
+    cc = sk.cc.copy()
     ev.mark_seed(3)
     for r in range(sk.R):
         _, lab, _ = get_center(
-            csr, probs, sk.center_index, sk.labels, sk.sizes,
+            csr, probs, sk.center_index, sk.cc,
             r, 3, np.zeros(csr.n, dtype=bool),
         )
         # exactly the label of 3's CC is zeroed, where the CC has a center
         assert np.flatnonzero(ev.zeroed[r]).tolist() == ([lab] if lab >= 0 else [])
     assert ev.zeroed.any()
-    assert np.array_equal(sk.sizes, sizes)  # pristine arrays untouched
+    assert np.array_equal(sk.cc, cc)  # pristine arrays untouched
 
 
 def test_counters(er_setup):
@@ -209,7 +209,7 @@ def test_mark_seed_block_equals_single_get_centers(graph, alpha):
     # A vertex that is no center, so its pairs traverse (every vertex is
     # one at α=1, where all R pairs settle at level 0).
     v = int(np.argmin(sk.center_index[n // 2 :])) + n // 2
-    args = (csr, probs, sk.center_index, sk.labels, sk.sizes)
+    args = (csr, probs, sk.center_index, sk.cc)
     singles = [get_center(*args, r, v, ev.seeds_mask) for r in range(sk.R)]
     zeroed = ev.zeroed.copy()
     for r, (_, lab, _) in enumerate(singles):

@@ -56,13 +56,56 @@ def test_space_monotone_in_alpha(graph):
 
 
 def test_space_formula(graph):
-    """Thm. 3.1: sketch space is O((1 + αR)n) — labels+sizes = 8·ρ·R."""
+    """Thm. 3.1: sketch space is O((1 + αR)n) — one int32 per (sketch,
+    center) in ``cc``, one bool per (sketch, center) in the zeroed mask,
+    the int32 center directory, the seed mask, the Win-Tree's 2P int32
+    ids and the float64 initial scores."""
     csr, probs = graph
-    res = run_pacim(None, csr, probs, R=16, alpha=0.5, k=1, backend="local")
-    rho = int(round(0.5 * csr.n))
-    sketch_bytes = 8 * rho * 16 + 4 * csr.n  # labels+sizes + center flags
-    assert res["space"]["aux_bytes"] >= sketch_bytes
-    assert res["space"]["aux_bytes"] < sketch_bytes + 64 * csr.n
+    R, n = 16, csr.n
+    res = run_pacim(None, csr, probs, R=R, alpha=0.5, k=1, backend="local")
+    rho = int(round(0.5 * n))
+    structure = 2 * 256 * 4  # P = 256 leaves for n = 250
+    assert res["space"]["aux_bytes"] == (
+        4 * rho * R + rho * R + 4 * n + n + 4 * rho + structure + 8 * n
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("selector", ["celf", "ptree", "wintree"])
+def test_space_counts_every_array(graph, monkeypatch, selector, alpha):
+    """``aux_bytes`` is exactly the bytes of every array the evaluator and
+    its sketches hold (bar the input probabilities) plus the selection
+    structure: an array added to either without being counted fails here."""
+    import repro.core.pacim as pacim_mod
+
+    csr, probs = graph
+    held = {}
+
+    class Evaluator(pacim_mod.LocalEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            held["ev"] = self
+
+    def select(*args, **kw):
+        held["sel"] = pacim_mod._SELECTORS[selector](*args, **kw)
+        return held["sel"]
+
+    monkeypatch.setattr(pacim_mod, "LocalEvaluator", Evaluator)
+    monkeypatch.setitem(pacim_mod._SELECTORS, "spy", select)
+    res = run_pacim(None, csr, probs, R=8, alpha=alpha, k=3,
+                    selector="spy", backend="local")
+    ev = held["ev"]
+    arrays = {
+        name: a
+        for obj in (ev, ev.sk)
+        for name, a in vars(obj).items()
+        if isinstance(a, np.ndarray) and a is not ev.probs
+    }
+    assert set(arrays) == {"cc", "center_index", "centers", "init_scores",
+                           "zeroed", "seeds_mask"}
+    assert res["space"]["aux_bytes"] == (
+        sum(a.nbytes for a in arrays.values()) + held["sel"].structure_bytes
+    )
 
 
 def test_thm31_visits_tradeoff():

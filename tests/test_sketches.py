@@ -68,7 +68,8 @@ def test_sketch_invariants(setup, alpha):
     sk = build_sketches_local(csr, probs, R=R, alpha=alpha)
     rho = sk.rho
     assert rho == int(round(alpha * csr.n))
-    assert sk.labels.shape == sk.sizes.shape == (R, rho)
+    assert sk.cc.shape == (R, rho) and sk.cc.dtype == np.int32
+    assert sk.centers.dtype == sk.center_index.dtype == np.int32
     # center_index is the inverse of centers.
     for i, c in enumerate(sk.centers):
         assert sk.center_index[c] == i
@@ -78,17 +79,21 @@ def test_sketch_invariants(setup, alpha):
         lab = cc_labels(csr.n, us, vs)
         comp_sizes = np.bincount(lab, minlength=csr.n)
         for i, c in enumerate(sk.centers):
-            j = sk.labels[r, i]
+            p = sk.cc[r, i]
+            assert p != i  # a label never points at its own center
+            j = i if p < 0 else p
             # Label is a center index in the same CC, minimal among them.
             assert lab[sk.centers[j]] == lab[c]
             same_cc = [
                 x for x, cx in enumerate(sk.centers) if lab[cx] == lab[c]
             ]
             assert j == min(same_cc)
+            # The representative holds -size; every other center its label.
             if j == i:
-                assert sk.sizes[r, i] == comp_sizes[lab[c]]
+                assert p == -comp_sizes[lab[c]]
             else:
-                assert sk.sizes[r, i] == 0
+                assert 0 <= p < i
+            assert -sk.cc[r, j] == comp_sizes[lab[c]]
 
 
 def test_init_scores_equal_mean_cc_size(setup):
@@ -115,7 +120,7 @@ def test_aux_bytes_scales_with_alpha(setup):
     small = build_sketches_local(csr, probs, R=8, alpha=0.1).aux_bytes()
     big = build_sketches_local(csr, probs, R=8, alpha=1.0).aux_bytes()
     assert small < big
-    # labels+sizes dominate: ratio close to alpha.
+    # cc dominates: ratio close to alpha.
     assert big > 5 * small
 
 
@@ -125,14 +130,16 @@ def test_alpha_one_labels_are_cc_labels(setup):
     for r in range(4):
         us, vs = sampled_arcs(csr, probs, SALT_SKETCH + r)
         lab = cc_labels(csr.n, us, vs)
-        # centers == all vertices, so labels[r] is exactly min-id CC labels
-        assert np.array_equal(sk.labels[r], lab.astype(np.int32))
+        # centers == all vertices, so the decoded labels are exactly the
+        # min-id CC labels.
+        idx = np.arange(csr.n)
+        assert np.array_equal(np.where(sk.cc[r] < 0, idx, sk.cc[r]), lab)
 
 
 def test_alpha_zero_empty_memo(setup):
     csr, probs = setup
     sk = build_sketches_local(csr, probs, R=4, alpha=0.0)
     assert sk.rho == 0
-    assert sk.labels.shape == (4, 0)
+    assert sk.cc.shape == (4, 0)
     assert (sk.center_index == -1).all()
     assert len(sk.init_scores) == csr.n

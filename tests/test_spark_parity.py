@@ -40,7 +40,7 @@ def test_sketch_build_parity(spark, graph, alpha):
         sc.setJobDescription(None)
     assert sc.statusTracker().getJobIdsForGroup(group) == []
     b = build_sketches_local(csr, probs, R=8, alpha=alpha)
-    for key in ("centers", "center_index", "labels", "sizes", "init_scores"):
+    for key in ("centers", "center_index", "cc", "init_scores"):
         x, y = getattr(a, key), getattr(b, key)
         assert x.dtype == y.dtype and np.array_equal(x, y), key
 

@@ -1,12 +1,20 @@
 """Smoke tests for the table harnesses (tiny configurations)."""
+from pathlib import Path
+
 import pytest
 
+from repro.baselines.infusermg import run_infusermg
+from repro.core.pacim import run_pacim
 from repro.eval.tables import (
     TIMED_SUITE,
+    _graph,
+    _probs,
     table3_rows,
     table4_rows,
     table5_rows,
 )
+
+TABLE4 = Path(__file__).resolve().parents[1] / "results" / "table4.md"
 
 
 def test_table5_tiny():
@@ -49,3 +57,30 @@ def test_table4_tiny_spark(spark):
 def test_timed_suite_contains_both_classes():
     classes = {TIMED_SUITE[g]["cls"] for g in TIMED_SUITE}
     assert classes == {"scale-free", "sparse"}
+
+
+def test_table4_memory_cells_match_committed_row():
+    """Space is deterministic and backend-independent, so SF-A′'s MB cells
+    in the committed ``results/table4.md`` equal a fresh driver-local run
+    at their printed precision; a change to the space accounting that
+    leaves the table stale fails here."""
+    spec = TIMED_SUITE["SF-A'"]
+    csr, _, _ = _graph(spec)
+    probs = _probs(csr, spec, "consistent")
+    kw = dict(R=64, k=25, backend="local")
+    runs = {
+        "MB Ours1": run_pacim(None, csr, probs, alpha=1.0, selector="wintree", **kw),
+        "MB Ours0.1": run_pacim(None, csr, probs, alpha=0.1, selector="wintree", **kw),
+        "MB InfMG": run_infusermg(None, csr, probs, **kw),
+    }
+    rows = [
+        [c.strip() for c in line.strip().strip("|").split("|")]
+        for line in TABLE4.read_text().splitlines()
+        if line.startswith("|") and not line.startswith("|-")
+    ]
+    header = rows[0]
+    (row,) = [r for r in rows[1:] if r[0] == "SF-A'"]
+    for col, res in runs.items():
+        cell = row[header.index(col)]
+        decimals = len(cell.partition(".")[2])
+        assert f"{res['space']['total_bytes'] / 1e6:.{decimals}f}" == cell, col

@@ -47,7 +47,7 @@ def test_remove_restores_invariant():
 
 def test_structure_bytes_is_two_pow_ids():
     tree = WinTree(np.zeros(100))
-    assert tree.structure_bytes() == 2 * tree.P * 8
+    assert tree.structure_bytes() == 2 * tree.P * 4
     assert tree.P == 128
 
 
