@@ -1,7 +1,8 @@
 """Benchmark for paper Table 6 (Uniform edge probabilities): PaC-IM
 variants under U(0, 0.2) at bench scale.
 
-Full-scale rows: ``python jobs/table6_uniform.py`` (see EXPERIMENTS.md).
+Full-scale rows: ``python jobs/table4_main.py --model uniform`` (see
+EXPERIMENTS.md).
 """
 import pytest
 

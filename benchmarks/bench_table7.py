@@ -1,7 +1,8 @@
 """Benchmark for paper Table 7 (WIC edge probabilities): PaC-IM
 variants under p_uv = 2/(d_u + d_v) at bench scale.
 
-Full-scale rows: ``python jobs/table7_wic.py`` (see EXPERIMENTS.md).
+Full-scale rows: ``python jobs/table4_main.py --model wic`` (see
+EXPERIMENTS.md).
 """
 import pytest
 

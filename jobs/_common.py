@@ -21,9 +21,7 @@ def get_spark():
 
     spark = (
         SparkSession.builder.appName("repro-job")
-        .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         # Progress bars would fill the committed results/table*.err logs.
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()

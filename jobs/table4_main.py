@@ -1,16 +1,26 @@
-"""Reproduce paper Table 4: running time, memory, and relative influence
-of Ours₁ (α=1), Ours₀.₁ (α=0.1), InfuserMG, and Ripples under the
-Consistent edge-probability assignment.
+"""Reproduce paper Tables 4, 6 and 7: running time, memory, and relative
+influence of Ours₁ (α=1), Ours₀.₁ (α=0.1), InfuserMG, and Ripples under
+one edge-probability assignment: Consistent (Tab. 4), Uniform (Tab. 6)
+or WIC (Tab. 7, Appendix A).
 
 Also supports --alpha-sweep (the paper's Fig. 8 tradeoff, recorded as
 numbers rather than a figure).
 
-Usage: python jobs/table4_main.py [--quick] [--alpha-sweep]
+Usage: python jobs/table4_main.py [--quick] [--model {consistent,uniform,wic}]
+       python jobs/table4_main.py --alpha-sweep
 """
+import argparse
 import sys
 
 sys.path.insert(0, "jobs")
 from _common import fmt, get_spark, print_markdown  # noqa: E402
+
+# Paper table and title of each probability model.
+TITLES = {
+    "consistent": "Table 4 — time / memory / influence (Consistent)",
+    "uniform": "Table 6 — time / memory / influence (Uniform)",
+    "wic": "Table 7 — time / memory / influence (WIC)",
+}
 
 
 def print_table4(rows, title: str) -> None:
@@ -40,7 +50,8 @@ def print_table4(rows, title: str) -> None:
     )
 
 
-def main(quick: bool = False, alpha_sweep: bool = False) -> None:
+def main(quick: bool = False, alpha_sweep: bool = False,
+         model: str = "consistent") -> None:
     from repro.core.pacim import run_pacim
     from repro.eval.tables import TIMED_SUITE, _graph, _probs, table4_rows
 
@@ -77,10 +88,15 @@ def main(quick: bool = False, alpha_sweep: bool = False) -> None:
         if quick
         else dict(R=64, k=25)
     )
-    rows = table4_rows(spark, **kw)
-    print_table4(rows, "Table 4 — time / memory / influence (Consistent)")
+    rows = table4_rows(spark, model=model, **kw)
+    print_table4(rows, TITLES[model])
     spark.stop()
 
 
 if __name__ == "__main__":
-    main(quick="--quick" in sys.argv, alpha_sweep="--alpha-sweep" in sys.argv)
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--quick", action="store_true")
+    ap.add_argument("--alpha-sweep", action="store_true")
+    ap.add_argument("--model", choices=sorted(TITLES), default="consistent")
+    args = ap.parse_args()
+    main(quick=args.quick, alpha_sweep=args.alpha_sweep, model=args.model)

@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.evaluate import block_levels, sampled_levels
+from repro.core.evaluate import block_levels
 from repro.eval.space import ris_bytes
 from repro.graphs.csr import CSR
 from repro.graphs.probs import check_probs
@@ -59,12 +59,6 @@ def _rr_sets(
         out_t.append(t[order])
         out_v.append(np.concatenate([v for _, v in levels])[order])
     return ids[np.concatenate(out_t)], np.concatenate(out_v)
-
-
-def _rr_set(csr: CSR, probs: np.ndarray, salt: int, root: int) -> np.ndarray:
-    """The RR set of ``root``: its CC in one live-edge sample."""
-    root_level = np.array([root], dtype=np.int64)
-    return np.concatenate(list(sampled_levels(csr, probs, root_level, salt)))
 
 
 def generate_rr_sets_local(

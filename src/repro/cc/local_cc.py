@@ -38,8 +38,3 @@ def cc_labels(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
             return lab
         lab = new
 
-
-def cc_sizes(labels: np.ndarray) -> np.ndarray:
-    """Component size indexed by label (0 where the id is not a label)."""
-    return np.bincount(labels, minlength=len(labels))
-

@@ -119,20 +119,6 @@ def block_levels(
         tids, verts, visited = next_level(csr, probs, tids, verts, mixes, visited)
 
 
-def sampled_levels(
-    csr: CSR, probs: np.ndarray, sources: np.ndarray, salt: int
-) -> Iterator[np.ndarray]:
-    """BFS levels of the sampled graph G'_salt, ``sources`` first.
-
-    ``sources`` must hold distinct int64 vertex ids; every later level is
-    sorted and disjoint from all earlier ones. One traversal of
-    :func:`block_levels`.
-    """
-    tids = np.zeros(len(sources), dtype=np.int64)
-    for _, level in block_levels(csr, probs, tids, sources, np.array([salt])):
-        yield level
-
-
 def _label(cc: np.ndarray, rs: np.ndarray, ci: np.ndarray) -> np.ndarray:
     """CC label of center index ``ci[i]`` on sketch ``rs[i]``: ``ci`` itself
     at a representative (``cc`` holds -size), else the label ``cc`` holds."""

@@ -98,12 +98,7 @@ def _items(t: _Node | None, out: list[tuple[int, float]]) -> list[tuple[int, flo
 class PTree:
     """Ordered max-structure over (score, vertex-id) with batch ops."""
 
-    def __init__(self, scores: np.ndarray | None = None):
-        self.root: _Node | None = None
-        if scores is not None:
-            self._build(scores)
-
-    def _build(self, scores: np.ndarray) -> None:
+    def __init__(self, scores: np.ndarray):
         """O(n) Cartesian-tree construction over the sorted key sequence."""
         order = np.lexsort((np.arange(len(scores)), -scores))
         stack: list[_Node] = []  # right spine, increasing priority downward
@@ -116,7 +111,7 @@ class PTree:
             if stack:
                 stack[-1].right = node
             stack.append(node)
-        self.root = stack[0] if stack else None
+        self.root: _Node | None = stack[0] if stack else None
         self._fix_sizes(self.root)
 
     def _fix_sizes(self, t: _Node | None) -> int:
@@ -148,9 +143,6 @@ class PTree:
             node = _Node(score, vid)
             l, r = _split_key(self.root, _rank_key(node))
             self.root = _merge(_merge(l, node), r)
-
-    def to_sorted_list(self) -> list[tuple[int, float]]:
-        return _items(self.root, [])
 
 
 def ptree_select(evaluator, k: int, *, max_jobs: int | None = None) -> SelectionResult:

@@ -43,7 +43,7 @@ class WinTree:
 
     def __init__(self, scores: np.ndarray):
         self.n = len(scores)
-        self.stale = scores.astype(np.float64).copy()
+        self.stale = scores.astype(np.float64)
         P = 1
         while P < max(self.n, 2):
             P <<= 1
@@ -76,13 +76,12 @@ class WinTree:
             t //= 2
             self.ids[t] = self._winner(t)
 
-    def next_seed(self, evaluator, *, max_jobs: int | None = None) -> tuple[int, float, int]:
-        """One NextSeed round; returns (seed, true score, #batches)."""
+    def next_seed(self, evaluator, *, max_jobs: int | None = None) -> tuple[int, float]:
+        """One NextSeed round; returns (seed, true score)."""
         best_key = (-np.inf, 0)
         # (node, stale?) — the root has no parent, so it is always stale.
         frontier: list[tuple[int, bool]] = [(1, True)]
         visited: list[int] = []
-        n_batches = 0
         span = 1
         while frontier:
             # One wave: `span` depths below the frontier, every stale node
@@ -107,7 +106,6 @@ class WinTree:
             if to_eval:
                 vs = np.array(to_eval, dtype=np.int64)
                 truths = _evaluate(evaluator, vs, max_jobs)
-                n_batches += 1
                 self.stale[to_eval] = truths
                 for vid in to_eval:  # write-max on the best true key
                     if self._key(vid) > best_key:
@@ -117,7 +115,7 @@ class WinTree:
         for t in reversed(visited):
             self.ids[t] = self._winner(t)
         root = int(self.ids[1])
-        return root, float(self.stale[root]), n_batches
+        return root, float(self.stale[root])
 
 
 def wintree_select(evaluator, k: int, *, max_jobs: int | None = None) -> SelectionResult:
@@ -125,7 +123,7 @@ def wintree_select(evaluator, k: int, *, max_jobs: int | None = None) -> Selecti
     tree = WinTree(evaluator.init_scores())
 
     def next_seed() -> tuple[int, float]:
-        s, gain, _ = tree.next_seed(evaluator, max_jobs=max_jobs)
+        s, gain = tree.next_seed(evaluator, max_jobs=max_jobs)
         tree.remove(s)
         return s, gain
 

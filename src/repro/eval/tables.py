@@ -269,13 +269,3 @@ def table5_rows(
             }
         )
     return rows
-
-
-def table6_rows(spark: SparkSession, **kw) -> list[dict]:
-    """Table 4 under the Uniform edge-probability assignment."""
-    return table4_rows(spark, model="uniform", **kw)
-
-
-def table7_rows(spark: SparkSession, **kw) -> list[dict]:
-    """Table 4 under the WIC (degree-weighted) assignment."""
-    return table4_rows(spark, model="wic", **kw)

@@ -1,13 +1,2 @@
 """Graph substrates: synthetic generators, CSR representation, and
 edge-probability models for the IC diffusion process."""
-from repro.graphs.csr import CSR, build_csr, csr_bytes  # noqa: F401
-from repro.graphs.generators import (  # noqa: F401
-    erdos_renyi,
-    grid2d,
-    knn_graph,
-    rmat,
-    suite_graph,
-    SUITE,
-    to_spark_edges,
-)
-from repro.graphs.probs import consistent_probs, uniform_probs, wic_probs  # noqa: F401

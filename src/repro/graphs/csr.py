@@ -39,17 +39,19 @@ class CSR:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.adj[self.indptr[v] : self.indptr[v + 1]]
-
 
 def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
-    """Build a CSR from a canonical (u < v) undirected edge list."""
+    """Build a CSR from a canonical (u < v) undirected edge list of ids in
+    [0, n); ``n`` defaults to the largest id + 1."""
     edges = np.asarray(edges, dtype=np.int64)
-    if edges.size and (edges[:, 0] >= edges[:, 1]).any():
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edge list must have shape (m, 2), got {edges.shape}")
+    if (edges[:, 0] >= edges[:, 1]).any():
         raise ValueError("edge list must be canonical: u < v in every row")
     if n is None:
         n = int(edges.max()) + 1 if edges.size else 0
+    if edges.size and (edges[:, 0].min() < 0 or edges[:, 1].max() >= n):
+        raise ValueError(f"vertex ids must be in [0, {n})")
     us = np.concatenate([edges[:, 0], edges[:, 1]])
     vs = np.concatenate([edges[:, 1], edges[:, 0]])
     keys = edge_key(edges[:, 0], edges[:, 1])

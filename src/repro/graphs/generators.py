@@ -17,8 +17,6 @@ All are deterministic in ``seed``.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def _canonicalize(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -113,13 +111,6 @@ def erdos_renyi(n: int, m_target: int, *, seed: int) -> np.ndarray:
     return _canonicalize(g.integers(0, n, n_arcs), g.integers(0, n, n_arcs))
 
 
-def to_spark_edges(spark: SparkSession, edges: np.ndarray) -> DataFrame:
-    """Edge list as a Spark DataFrame (columns ``u``, ``v``; u < v)."""
-    return spark.createDataFrame(
-        pd.DataFrame({"u": edges[:, 0], "v": edges[:, 1]})
-    )
-
-
 # ---------------------------------------------------------------------------
 # The experiment suite (DESIGN.md §4): synthetic analogs of paper Tab. 3.
 # Each entry: (class, generator thunk, Consistent-model p).
@@ -142,9 +133,3 @@ SUITE: dict[str, dict] = {
     "KNN-B": dict(cls="sparse", p=0.30,
                   gen=lambda: knn_graph(16384, 5, seed=22, clusters=40)),
 }
-
-
-def suite_graph(name: str) -> tuple[np.ndarray, float, str]:
-    """Return (edges, consistent_p, class) for a suite graph by name."""
-    spec = SUITE[name]
-    return spec["gen"](), spec["p"], spec["cls"]

@@ -21,10 +21,14 @@ def test_shapes(tri_csr):
     assert len(tri_csr.indptr) == 6
 
 
+def _neighbors(csr, v):
+    return csr.adj[csr.indptr[v] : csr.indptr[v + 1]]
+
+
 def test_neighbors(tri_csr):
-    assert sorted(tri_csr.neighbors(0)) == [1, 2]
-    assert sorted(tri_csr.neighbors(2)) == [0, 1, 3]
-    assert list(tri_csr.neighbors(4)) == []
+    assert sorted(_neighbors(tri_csr, 0)) == [1, 2]
+    assert sorted(_neighbors(tri_csr, 2)) == [0, 1, 3]
+    assert list(_neighbors(tri_csr, 4)) == []
 
 
 def test_degrees(tri_csr):
@@ -50,6 +54,20 @@ def test_rejects_non_canonical():
         build_csr(np.array([[2, 2]]))
 
 
+@pytest.mark.parametrize("edges, n", [
+    ([[-1, 3], [0, 1]], None),
+    ([[-1, 3]], 5),
+    ([[0, 5]], 3),
+    ([[0, 3], [1, 2]], 3),
+    ([0, 1], None),
+    ([[0, 1, 2]], None),
+], ids=["negative", "negative-given-n", "id-past-n", "id-equal-n",
+        "flat", "three-columns"])
+def test_rejects_out_of_range_or_misshapen(edges, n):
+    with pytest.raises(ValueError):
+        build_csr(np.array(edges), n=n)
+
+
 def test_infers_n():
     csr = build_csr(np.array([[0, 7]]))
     assert csr.n == 8
@@ -62,7 +80,7 @@ def test_roundtrip_random(seed):
     # Rebuild the canonical edge list from adjacency and compare.
     rebuilt = set()
     for u in range(100):
-        for v in csr.neighbors(u):
+        for v in _neighbors(csr, u):
             rebuilt.add((min(u, int(v)), max(u, int(v))))
     assert rebuilt == {tuple(e) for e in edges}
 

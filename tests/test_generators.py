@@ -8,7 +8,6 @@ from repro.graphs.generators import (
     grid2d,
     knn_graph,
     rmat,
-    suite_graph,
 )
 
 GENS = {
@@ -93,9 +92,10 @@ def test_knn_clustered_differs():
 
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_suite_graphs_wellformed(name):
-    edges, p, cls = suite_graph(name)
-    assert 0 < p <= 1
-    assert cls in ("scale-free", "sparse")
+    spec = SUITE[name]
+    edges = spec["gen"]()
+    assert 0 < spec["p"] <= 1
+    assert spec["cls"] in ("scale-free", "sparse")
     assert (edges[:, 0] < edges[:, 1]).all()
     assert edges.max() < 40_000
 

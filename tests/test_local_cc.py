@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.cc.local_cc import cc_labels, cc_sizes
-from repro.core.evaluate import sampled_levels
+from repro.cc.local_cc import cc_labels
+from repro.core.evaluate import block_levels
+from repro.core.sketches import _one_sketch
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, grid2d
 
@@ -69,10 +70,12 @@ def test_duplicate_and_bidirectional_arcs_ok():
 
 
 def test_cc_sizes():
-    lab = np.array([0, 0, 0, 3, 3, 5])
-    sizes = cc_sizes(lab)
-    assert sizes[0] == 3 and sizes[3] == 2 and sizes[5] == 1
-    assert sizes[1] == sizes[2] == sizes[4] == 0
+    """The sketch build's CC sizes from cc_labels: per vertex, and -size at
+    each CC's representative center (α=1, every arc alive)."""
+    csr = build_csr(np.array([[0, 1], [1, 2], [3, 4]]), n=6)
+    cc, sizes = _one_sketch(csr, np.ones(len(csr.adj)), np.arange(6), 0)
+    assert sizes.tolist() == [3, 3, 3, 2, 2, 1]
+    assert cc.tolist() == [-3, 0, 0, -2, 3, -1]
 
 
 @pytest.mark.parametrize("source", [0, 17, 63, 99])
@@ -81,8 +84,9 @@ def test_bfs_component_matches_labels(source):
     csr = build_csr(edges, n=100)
     lab = cc_labels(100, edges[:, 0], edges[:, 1])
     all_alive = np.ones(len(csr.adj))
-    source_level = np.array([source], dtype=np.int64)
-    comp = np.concatenate(list(sampled_levels(csr, all_alive, source_level, 0)))
+    one = np.zeros(1, dtype=np.int64)  # a single traversal, id 0
+    levels = block_levels(csr, all_alive, one, one + source, np.array([0]))
+    comp = np.concatenate([v for _, v in levels])
     assert sorted(comp) == sorted(np.flatnonzero(lab == lab[source]))
     assert len(np.unique(comp)) == len(comp)
 

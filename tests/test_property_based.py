@@ -37,7 +37,8 @@ def _rank(scores):
 @settings(max_examples=40, deadline=None)
 @given(score_arrays())
 def test_ptree_build_is_sorted(scores):
-    assert [v for v, _ in PTree(scores).to_sorted_list()] == _rank(scores)
+    tree = PTree(scores)
+    assert [v for v, _ in tree.split_top(len(tree))] == _rank(scores)
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,7 +61,7 @@ def test_ptree_random_ops_match_model(scores, data):
             back.append((v, float(s)))
         tree.batch_insert(back)
         model = sorted(model + back, key=lambda t: (-t[1], t[0]))
-    assert tree.to_sorted_list() == model
+    assert tree.split_top(len(tree)) == model
 
 
 @settings(max_examples=40, deadline=None)

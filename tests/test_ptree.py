@@ -18,7 +18,7 @@ def test_build_sorted(n):
     scores = _scores(n)
     tree = PTree(scores)
     assert len(tree) == n
-    got = tree.to_sorted_list()
+    got = tree.split_top(len(tree))
     want = sorted(range(n), key=lambda v: (-scores[v], v))
     assert [v for v, _ in got] == want
 
@@ -45,7 +45,7 @@ def test_split_top(k):
     assert len(tree) == max(0, 120 - k)
     if len(tree):
         # remainder stays correctly ordered
-        rest = [v for v, _ in tree.to_sorted_list()]
+        rest = [v for v, _ in tree.split_top(len(tree))]
         assert rest == sorted(range(120), key=lambda v: (-scores[v], v))[k:]
 
 
@@ -54,7 +54,7 @@ def test_split_then_reinsert_roundtrip():
     tree = PTree(scores)
     batch = tree.split_top(20)
     tree.batch_insert(batch)
-    got = [v for v, _ in tree.to_sorted_list()]
+    got = [v for v, _ in tree.split_top(len(tree))]
     assert got == sorted(range(60), key=lambda v: (-scores[v], v))
 
 
@@ -64,7 +64,7 @@ def test_insert_with_new_scores_reorders():
     batch = tree.split_top(1)  # removes vertex 2 (score 30)
     assert batch == [(2, 30.0)]
     tree.batch_insert([(2, 5.0)])  # comes back demoted
-    assert [v for v, _ in tree.to_sorted_list()] == [1, 0, 2]
+    assert [v for v, _ in tree.split_top(len(tree))] == [1, 0, 2]
 
 
 def test_sizes_consistent_after_mixed_ops():
@@ -74,15 +74,14 @@ def test_sizes_consistent_after_mixed_ops():
         b = tree.split_top(k)
         tree.batch_insert([(v, s / 2) for v, s in b])
     assert len(tree) == 200
-    lst = tree.to_sorted_list()
+    lst = tree.split_top(len(tree))
     keys = [(-s, v) for v, s in lst]
     assert keys == sorted(keys)
 
 
 def test_deterministic_shape():
-    a = PTree(_scores(300, seed=5)).to_sorted_list()
-    b = PTree(_scores(300, seed=5)).to_sorted_list()
-    assert a == b
+    a, b = PTree(_scores(300, seed=5)), PTree(_scores(300, seed=5))
+    assert a.split_top(300) == b.split_top(300)
 
 
 # --- selector -------------------------------------------------------------

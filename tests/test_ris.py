@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.ris import (
     RRBudgetExceeded,
     _rr_root,
-    _rr_set,
     choose_theta,
     generate_rr_sets_local,
     greedy_max_cover,
@@ -27,11 +26,11 @@ def graph():
 
 def test_rr_set_is_component_of_root(graph):
     csr, probs = graph
+    ids, members = generate_rr_sets_local(csr, probs, 10)
     for i in range(10):
-        salt = SALT_RR + i
         root = _rr_root(i, 0, csr.n)
-        rr = _rr_set(csr, probs, salt, root)
-        us, vs = sampled_arcs(csr, probs, salt)
+        rr = members[ids == i]
+        us, vs = sampled_arcs(csr, probs, SALT_RR + i)
         lab = cc_labels(csr.n, us, vs)
         assert sorted(rr) == sorted(np.flatnonzero(lab == lab[root]))
 

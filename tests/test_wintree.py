@@ -69,7 +69,7 @@ def test_invariant_after_rounds(er_setup):
     ev = LocalEvaluator(csr, probs, sk)
     tree = WinTree(ev.init_scores())
     for _ in range(5):
-        s, _, _ = tree.next_seed(ev)
+        s, _ = tree.next_seed(ev)
         ev.mark_seed(s)
         tree.remove(s)
         _check_invariant(tree)
@@ -81,7 +81,7 @@ def test_invariant_after_every_round_all_graphs(small_case, alpha):
     ev = LocalEvaluator(csr, probs, build_sketches_local(csr, probs, R=8, alpha=alpha))
     tree = WinTree(ev.init_scores())
     for _ in range(10):
-        s, _, _ = tree.next_seed(ev)
+        s, _ = tree.next_seed(ev)
         _check_invariant(tree)  # the up-sweep covered every evaluated leaf
         ev.mark_seed(s)
         tree.remove(s)
@@ -111,9 +111,8 @@ def test_waves_span_one_two_then_three_depths():
     (half of each depth below the root)."""
     tree = WinTree(_STALE)
     stub = _FixedGains(np.zeros(64))
-    s, gain, n_batches = tree.next_seed(stub)
+    s, gain = tree.next_seed(stub)
     assert stub.batches == [1, 3, 28, 32]
-    assert n_batches == 4
     assert (s, gain) == (0, 0.0)
     _check_invariant(tree)
 
@@ -123,9 +122,9 @@ def test_root_alone_when_its_stale_score_holds():
     node below it, so the round is one 1-vertex batch."""
     tree = WinTree(_STALE)
     stub = _FixedGains(_STALE)
-    s, gain, n_batches = tree.next_seed(stub)
+    s, gain = tree.next_seed(stub)
     assert stub.batches == [1]
-    assert (s, gain, n_batches) == (0, 64.0, 1)
+    assert (s, gain) == (0, 64.0)
 
 
 def test_waves_per_round_bounded_by_schedule(er_setup):
