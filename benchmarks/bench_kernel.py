@@ -1,5 +1,6 @@
 """Micro-benchmarks of the evaluation kernel: one 256-vertex
-``LocalEvaluator.evaluate`` (256 x R (vertex, sketch) GetCenter pairs), and
+``LocalEvaluator.evaluate`` (256 x R (vertex, sketch) GetCenter pairs, the
+first batch of a fresh evaluator, so never settled by the CC pass), and
 one ``LocalEvaluator.mark_seed`` (R pairs of the top-scoring vertex); and of
 the MC kernel: 256 simulations of 10 seeds.
 
@@ -47,11 +48,18 @@ def test_kernel_evaluate(benchmark, graph, alpha):
     # Not seed 0: centers are drawn with default_rng(center_seed=0), and
     # the same draws would make the batch the centers themselves.
     vs = np.sort(np.random.default_rng(7).choice(csr.n, BATCH, replace=False))
+
+
+    def fresh():  # a first batch, so always GetCenter's, never the CC pass
+        return (LocalEvaluator(csr, probs, sk),), {}
+
+    benchmark.pedantic(lambda ev: ev.evaluate(vs), setup=fresh, rounds=3)
     ev = LocalEvaluator(csr, probs, sk)
-    means = benchmark.pedantic(ev.evaluate, args=(vs,), rounds=3, iterations=1)
+    means = ev.evaluate(vs)
     benchmark.extra_info["pairs"] = BATCH * R
     benchmark.extra_info["center_pairs"] = R * int((sk.center_index[vs] >= 0).sum())
-    benchmark.extra_info["visits_per_round"] = ev.n_visits // 3
+    benchmark.extra_info["visits_per_round"] = ev.n_visits
+    assert ev.n_cc_jobs == 0
     assert np.allclose(means, sk.init_scores[vs])
 
 

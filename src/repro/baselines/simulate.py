@@ -17,10 +17,11 @@ same either way:
   expands — the degree sum of the vertices it reaches — so it wins when
   the seeds reach little of the graph (subcritical grids, WIC);
 - **sampled CC**: hash every undirected edge once per simulation, as
-  its ``u < v`` arc, and label the disjoint union of the block's sampled
-  graphs with :func:`repro.cc.cc_labels`. It hashes ``b·m`` coins for a
-  block of ``b``, fewer than a BFS that reaches most of the graph, which
-  expands most edges from both endpoints.
+  its ``u < v`` arc (the edge view and sampler the sketch build uses,
+  :mod:`repro.core.sketches`), and label the disjoint union of the
+  block's sampled graphs with :func:`repro.cc.cc_labels`. It hashes
+  ``b·m`` coins for a block of ``b``, fewer than a BFS that reaches most
+  of the graph, which expands most edges from both endpoints.
 
 The first block of every call runs BFS and counts the arcs it expanded.
 Once a BFS block has expanded at least the ``b·m`` coins a CC pass would
@@ -40,9 +41,10 @@ from pyspark.sql import SparkSession
 
 from repro.cc.local_cc import cc_labels
 from repro.core.evaluate import block_levels
+from repro.core.sketches import _edge_view, sampled_edges
 from repro.graphs.csr import CSR
 from repro.graphs.probs import check_probs
-from repro.hashing import SALT_SIM, salt_mix, u01
+from repro.hashing import SALT_SIM
 from repro.spark_jobs import map_range
 
 
@@ -55,25 +57,14 @@ from repro.spark_jobs import map_range
 _SIM_BLOCK = 8
 
 
-def _edge_view(
-    csr: CSR, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, arc_key, probability) of every edge, from its ``u < v`` arc."""
-    src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
-    fwd = src < csr.adj
-    return src[fwd], csr.adj[fwd].astype(np.int64), csr.arc_key[fwd], probs[fwd]
-
-
 def _cc_block(
     n: int, edges: tuple, sources: np.ndarray, salts: np.ndarray
 ) -> np.ndarray:
     """Per salt, the total size of the sampled graph's components holding
     a source: one CC labelling of the block's disjoint union, simulation
     t's vertex v being ``t * n + v``."""
-    us, vs, keys, p = edges
     b = len(salts)
-    t, e = np.nonzero(u01(keys ^ salt_mix(salts)[:, None], 0) < p)
-    lab = cc_labels(b * n, t * n + us[e], t * n + vs[e])
+    lab = cc_labels(b * n, *sampled_edges(n, edges, salts))
     reached = np.zeros(b * n, dtype=bool)
     reached[lab[(np.arange(b)[:, None] * n + sources).ravel()]] = True
     return reached[lab].reshape(b, n).sum(axis=1)

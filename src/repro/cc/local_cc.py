@@ -3,8 +3,9 @@
 ``cc_labels`` is min-label propagation with pointer jumping — fully
 vectorized, converges in O(log n) rounds on typical inputs. It labels
 each sketch's sampled graph in the driver sketch build (paper Alg. 3
-line 2, where the authors use ConnectIt) and each Monte-Carlo CC block,
-on the driver or in a Spark MC task.
+line 2, where the authors use ConnectIt) and again in the evaluator's
+CC pass, and each Monte-Carlo CC block, on the driver or in a Spark MC
+task.
 """
 from __future__ import annotations
 

@@ -19,24 +19,37 @@ sources, salt stream and stop rule:
   (``baselines.ris``) walk whole components, a block of simulation or
   RR ids at a time.
 
-``evaluate_batch`` is the one evaluation kernel — per-vertex mean δ over
-the R sketches; pairs whose source is a center (every pair at α=1)
-settle at level 0 without a traversal — and runs in two places:
+A batch is settled one of two ways, both exact:
 
-- :class:`LocalEvaluator` calls it on the driver; used where only
-  *evaluation counts* matter (Table 5) and in unit tests;
-- :class:`SparkEvaluator` runs a **batch** predicted cheaper than a Spark
-  job on the driver too (every 1-vertex CELF round), and a larger one as
-  one Spark job through ``spark_jobs.map_range`` like every other job:
+- ``evaluate_batch``, the GetCenter kernel — per-vertex mean δ over the
+  R sketches; pairs whose source is a center (every pair at α=1) settle
+  at level 0 without a traversal;
+- ``evaluate_batch_cc``, the **CC pass** — sketch r's sampled graph
+  labelled once (:func:`repro.core.sketches.sketch_labels`, the build's
+  own coins), δ read off the component sizes; the paper's sketch before
+  compression (Alg. 3 line 2). It costs R·n vertex slots whatever the
+  batch, so it wins once the batch's pairs would visit more.
+
+:meth:`LocalEvaluator.evaluate` picks the way per batch from counts
+alone, before placement: the CC pass when the batch's predicted BFS
+visits (its pairs × the visits per pair of the earlier BFS batches, at
+least 1) exceed R·n. At α=1 no batch switches; in a selection, the large
+Win-Tree / P-tree waves after the first seed do. The CC pass always runs
+on the driver, one sketch at a time. A GetCenter batch runs:
+
+- on the driver in :class:`LocalEvaluator`;
+- in :class:`SparkEvaluator`, on the driver too when predicted cheaper
+  than a Spark job (every 1-vertex CELF round), and otherwise as one
+  Spark job through ``spark_jobs.map_range`` like every other job:
   ``spark.range`` over the batch positions, the batch in the task
   closure, each task evaluating its vertices on all R sketches against
-  the CSR + sketches broadcast for that job alone. Either way it is one
-  round (DESIGN.md §2).
+  the CSR + sketches broadcast for that job alone.
 
-Both read the pristine sketch arrays. ``MarkSeed`` always runs on the
-driver (one GetCenter block of the seed's R pairs) and records its
-effect in one (R, ρ) bool mask of zeroed labels, which
-``evaluate_batch`` applies and Spark tasks rebuild from its flat indices.
+Each way it is one round (DESIGN.md §2). GetCenter reads the pristine
+sketch arrays. ``MarkSeed`` always runs on the driver (one GetCenter
+block of the seed's R pairs) and records its effect in one (R, ρ) bool
+mask of zeroed labels, which ``evaluate_batch`` applies and Spark tasks
+rebuild from its flat indices; the CC pass reads the seed ids instead.
 """
 from __future__ import annotations
 
@@ -46,7 +59,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.sketches import Sketches
+from repro.core.sketches import Sketches, _edge_view, sketch_labels
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SKETCH, salt_mix, u01
 from repro.spark_jobs import map_range
@@ -57,9 +70,13 @@ from repro.spark_jobs import map_range
 # traversals ran slower than one pair at a time.
 _PAIR_BLOCK = 256
 
-# Predicted BFS visits (SparkEvaluator._predicted_visits) up to which
-# SparkEvaluator runs a batch on the driver: the break-even c = floor·P/(P-1)
-# of a P-task job. benchmarks/bench_spark_job.py times the batches of sf-spark
+# Predicted BFS visits (LocalEvaluator._predicted_visits) up to which
+# SparkEvaluator runs a GetCenter batch on the driver: the break-even
+# c = floor·P/(P-1) of a P-task job. Only GetCenter batches are placed: a
+# batch predicted above R·n takes the CC pass on the driver, so this bound
+# matters only where R·n exceeds it (n > 12.5k at R=32, n > 6.25k at R=64),
+# and no table or benchmark workload submits an evaluation job today.
+# benchmarks/bench_spark_job.py times the GetCenter batches of sf-spark
 # selections (SF-A', R=32, α=0.1, 4 cores; medians of 3-5 runs): predicted
 # 214k-222k, 50-110 ms on the driver vs 148-215 ms as a job; 321k, 108-150 vs
 # 149-209 ms; 416k, 154-210 vs 150-261 ms (medians 178 vs 175). The prediction
@@ -234,6 +251,30 @@ def evaluate_batch(
     return deltas.reshape(len(vs), R).mean(axis=1), int(visits.sum())
 
 
+def evaluate_batch_cc(
+    csr: CSR, probs: np.ndarray, R: int, vs: np.ndarray, seeds: np.ndarray
+) -> np.ndarray:
+    """Per-vertex mean δ over the R sketches from one sampled-CC pass per
+    sketch: :func:`evaluate_batch`'s result, bit for bit.
+
+    Sketch r's sampled graph G'_r is labelled once (the build's coins,
+    each edge hashed from its ``u < v`` arc); δ(v, r) is 0 if v's
+    component holds a seed, otherwise the component's size. GetCenter
+    gives the same: every center of a component carries its label, and
+    MarkSeed zeroes exactly the labels of components holding a seed. The
+    sums are integers, so dividing them by R rounds as the mean does.
+    Sketches run one at a time: O(n + m) transient memory, none kept.
+    """
+    edges = _edge_view(csr, probs)
+    total = np.zeros(len(vs), dtype=np.int64)
+    for r in range(R):
+        lab = sketch_labels(csr.n, edges, r)
+        size = np.bincount(lab, minlength=csr.n)
+        size[lab[seeds]] = 0
+        total += size[lab[vs]]
+    return total / R
+
+
 class LocalEvaluator:
     """Driver-side evaluator over the pristine sketch arrays.
 
@@ -241,9 +282,11 @@ class LocalEvaluator:
     mask of labels whose CC holds a seed. Counters: ``n_reevals`` (total
     vertices re-evaluated — the paper's Table 5 quantity), ``n_jobs``
     (evaluation batches — the parallel-rounds / span proxy), ``n_visits``
-    (BFS visits — Thm. 3.1 quantity); ``n_spark_jobs`` (batches run as
-    Spark jobs) stays 0 here. :meth:`evaluate` counts and leaves the
-    batch itself to :meth:`_batch`, which subclasses may place elsewhere.
+    (GetCenter BFS visits — Thm. 3.1 quantity), ``n_cc_jobs`` /
+    ``n_cc_reevals`` (batches and vertices settled by the CC pass);
+    ``n_spark_jobs`` (batches run as Spark jobs) stays 0 here.
+    :meth:`evaluate` picks GetCenter (:meth:`_batch`, which subclasses
+    may place elsewhere) or the CC pass per batch, then counts.
     """
 
     n_spark_jobs = 0
@@ -258,6 +301,9 @@ class LocalEvaluator:
         self.n_reevals = 0
         self.n_jobs = 0
         self.n_visits = 0
+        self.n_cc_jobs = 0
+        self.n_cc_reevals = 0
+        self._visits = 0  # of BFS batches, not MarkSeed
 
     def init_scores(self) -> np.ndarray:
         """Marginal(∅, v) for all v — harvested at sketch construction."""
@@ -269,11 +315,25 @@ class LocalEvaluator:
         vs = np.asarray(vs, dtype=np.int64)
         if not np.all((0 <= vs) & (vs < self.csr.n)):
             raise ValueError(f"vertex ids must be in [0, {self.csr.n})")
-        means, visits = self._batch(vs)
+        if self._predicted_visits(len(vs)) > self.sk.R * self.csr.n:
+            means = evaluate_batch_cc(
+                self.csr, self.probs, self.sk.R, vs, np.flatnonzero(self.seeds_mask)
+            )
+            self.n_cc_jobs += 1
+            self.n_cc_reevals += len(vs)
+        else:
+            means, visits = self._batch(vs)
+            self.n_visits += visits
+            self._visits += visits
         self.n_reevals += len(vs)
         self.n_jobs += 1
-        self.n_visits += visits
         return means
+
+    def _predicted_visits(self, n: int) -> float:
+        """BFS visits of a batch of ``n``: its pairs × the visits per pair of
+        the earlier BFS batches (at least 1)."""
+        pairs = (self.n_reevals - self.n_cc_reevals) * self.sk.R
+        return n * self.sk.R * max(1.0, self._visits / max(pairs, 1))
 
     def _batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
         """:func:`evaluate_batch` of ``vs`` on the driver."""
@@ -298,12 +358,12 @@ class LocalEvaluator:
 
 
 class SparkEvaluator(LocalEvaluator):
-    """Evaluation batches run on the driver or as Spark jobs.
+    """GetCenter batches run on the driver or as Spark jobs.
 
-    A batch predicted at most ``_DRIVER_VISITS`` BFS visits (pairs × the
-    visits per pair of the earlier batches, at least 1) runs
+    A BFS batch predicted at most ``_DRIVER_VISITS`` visits runs
     :func:`evaluate_batch` on the driver; a larger one is one Spark job,
-    counted in ``n_spark_jobs``. Placement changes no δ and no other count.
+    counted in ``n_spark_jobs``. CC-pass batches always run on the
+    driver. Placement changes no δ and no other count.
 
     Each job runs through :func:`repro.spark_jobs.map_range`, which
     broadcasts ``(csr, probs, sketches)`` for that job and destroys it
@@ -319,21 +379,13 @@ class SparkEvaluator(LocalEvaluator):
     ):
         super().__init__(csr, probs, sketches)
         self.spark = spark
-        self._visits = 0  # of evaluate calls, not MarkSeed
 
     def _batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
         if self._predicted_visits(len(vs)) <= _DRIVER_VISITS:
-            means, visits = super()._batch(vs)
-        else:
-            means, visits = self._spark_batch(vs)
-            self.n_spark_jobs += 1
-        self._visits += visits
-        return means, visits
-
-    def _predicted_visits(self, n: int) -> float:
-        """Pairs of a batch of ``n`` × visits per pair so far (at least 1)."""
-        per_pair = self._visits / max(self.n_reevals * self.sk.R, 1)
-        return n * self.sk.R * max(1.0, per_pair)
+            return super()._batch(vs)
+        out = self._spark_batch(vs)
+        self.n_spark_jobs += 1
+        return out
 
     def _spark_batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
         """:func:`evaluate_batch` of ``vs`` as one Spark job."""

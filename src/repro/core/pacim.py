@@ -12,7 +12,8 @@ parameter choice here:
 - ``selector`` ∈ {'celf', 'ptree', 'wintree'} — sequential vs parallel
   seed selection;
 - ``backend`` ∈ {'local', 'spark'} — driver only, or Spark jobs for
-  large evaluation batches (sketches build on the driver either way).
+  large GetCenter batches (sketches build, and CC-pass batches run, on
+  the driver either way).
 """
 from __future__ import annotations
 
@@ -53,9 +54,10 @@ def run_pacim(
     """Run PaC-IM and return seeds + full instrumentation.
 
     ``graph`` is a CSR or a canonical edge list. ``backend='spark'``
-    requires ``spark`` and runs each evaluation batch above the Spark job
-    floor as a Spark job (counted by ``n_spark_jobs``), the sketch build
-    and every smaller batch on the driver; ``backend='local'`` runs
+    requires ``spark`` and runs each GetCenter batch above the Spark job
+    floor as a Spark job (counted by ``n_spark_jobs``), the sketch build,
+    every smaller batch and every CC-pass batch (``n_cc_jobs``, settling
+    ``n_cc_reevals`` vertices) on the driver; ``backend='local'`` runs
     everything driver-side.
     """
     csr = graph if isinstance(graph, CSR) else build_csr(graph)
@@ -99,6 +101,8 @@ def run_pacim(
         "n_eval_jobs": sel.n_jobs,
         "n_visits": evaluator.n_visits,
         "n_spark_jobs": evaluator.n_spark_jobs,
+        "n_cc_jobs": evaluator.n_cc_jobs,
+        "n_cc_reevals": evaluator.n_cc_reevals,
         "space": pacim_bytes(csr, evaluator, sel.structure_bytes),
         "selector": selector,
         "alpha": alpha,

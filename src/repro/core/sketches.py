@@ -22,11 +22,18 @@ against 0.01-0.02 s on the driver, was level with the driver at 3.1M
 (the Tab. 4 grids at R=64, the largest build any table or benchmark
 workload makes) and won from 6-9M on.
 
-Per sketch, the build samples arcs by hashing, runs the local
-min-label-propagation CC kernel and keeps the center arrays. Full CC
-labels are in hand during construction, so the initial CELF scores
-``Δ̄[v] = Marginal(∅, v)`` (the mean CC size of v over all sketches) are
-harvested here for free instead of running nR BFS evaluations later.
+Per sketch, the build labels the sampled graph (:func:`sketch_labels`:
+each undirected edge hashed once, from its ``u < v`` arc in
+:func:`_edge_view`, then the local min-label-propagation CC kernel) and
+keeps the center arrays. Full CC labels are in hand during construction,
+so the initial CELF scores ``Δ̄[v] = Marginal(∅, v)`` (the mean CC size
+of v over all sketches) are harvested here for free instead of running
+nR BFS evaluations later. The same edge view and sampler label the
+sampled graphs of the evaluator's CC pass (``core.evaluate``, the same
+salts, so the same G'_r) and of Monte-Carlo CC blocks
+(``baselines.simulate``, the simulation salts). Hashing one arc per edge
+flips the edge's coin only because both arcs carry the same probability
+(``graphs.probs.check_probs``).
 """
 from __future__ import annotations
 
@@ -37,7 +44,7 @@ from pyspark.sql import SparkSession
 
 from repro.cc.local_cc import cc_labels
 from repro.graphs.csr import CSR
-from repro.hashing import SALT_SKETCH, u01
+from repro.hashing import SALT_SKETCH, salt_mix, u01
 
 
 @dataclass
@@ -79,18 +86,51 @@ def choose_centers(n: int, alpha: float, seed: int) -> np.ndarray:
 def sampled_arcs(
     csr: CSR, probs: np.ndarray, salt: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of arcs alive in the sampled graph for ``salt``."""
+    """Endpoint arrays of arcs alive in the sampled graph for ``salt``,
+    every arc hashed: the per-arc reference for :func:`sampled_edges`."""
     alive = u01(csr.arc_key, salt) < probs
     src = np.repeat(np.arange(csr.n, dtype=np.int64), np.diff(csr.indptr))
     return src[alive], csr.adj[alive].astype(np.int64)
 
 
-def _one_sketch(
-    csr: CSR, probs: np.ndarray, centers: np.ndarray, r: int
+def _edge_view(
+    csr: CSR, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, arc_key, probability) of every edge, from its ``u < v`` arc.
+
+    Both arcs of an edge share its key and (``graphs.probs.check_probs``)
+    its probability, so hashing the one arc flips the edge's coin."""
+    src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
+    fwd = src < csr.adj
+    return src[fwd], csr.adj[fwd].astype(np.int64), csr.arc_key[fwd], probs[fwd]
+
+
+def sampled_edges(
+    n: int, edges: tuple, salts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(cc_r, per-vertex CC size) for sketch r."""
-    us, vs = sampled_arcs(csr, probs, SALT_SKETCH + r)
-    lab = cc_labels(csr.n, us, vs)
+    """Endpoints of the edges alive in the disjoint union of the sampled
+    graphs of ``salts``, vertex v of salt t being ``t * n + v``. Each edge
+    of ``edges`` (an :func:`_edge_view`) is hashed once per salt, the coin
+    every traversal of that salt flips on either of its arcs."""
+    us, vs, keys, p = edges
+    t, e = np.nonzero(u01(keys ^ salt_mix(salts)[:, None], 0) < p)
+    return t * n + us[e], t * n + vs[e]
+
+
+def sketch_labels(n: int, edges: tuple, r: int) -> np.ndarray:
+    """CC labels of sketch r's sampled graph G'_r (smallest vertex id of
+    each component)."""
+    return cc_labels(n, *sampled_edges(n, edges, np.array([SALT_SKETCH + r])))
+
+
+def _one_sketch(
+    csr: CSR, probs: np.ndarray, centers: np.ndarray, r: int, edges=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cc_r, per-vertex CC size) for sketch r. ``edges`` is
+    ``_edge_view(csr, probs)``, which a build makes once for all R."""
+    if edges is None:
+        edges = _edge_view(csr, probs)
+    lab = sketch_labels(csr.n, edges, r)
     comp_sizes = np.bincount(lab, minlength=csr.n)
     comp_of_center = lab[centers]
     uniq, inv = np.unique(comp_of_center, return_inverse=True)
@@ -109,8 +149,9 @@ def build_sketches_local(
     centers = choose_centers(csr.n, alpha, center_seed)
     cc = np.empty((R, len(centers)), dtype=np.int32)
     vsum = np.zeros(csr.n, dtype=np.int64)
+    edges = _edge_view(csr, probs)
     for r in range(R):
-        cc[r], vsize = _one_sketch(csr, probs, centers, r)
+        cc[r], vsize = _one_sketch(csr, probs, centers, r, edges)
         vsum += vsize
     center_index = np.full(csr.n, -1, dtype=np.int32)
     center_index[centers] = np.arange(len(centers), dtype=np.int32)

@@ -50,13 +50,26 @@ class WinTree:
         self.P = P
         self.ids = np.full(2 * P, -1, dtype=np.int32)
         self.ids[P : P + self.n] = np.arange(self.n)
-        for t in range(P - 1, 0, -1):
-            self.ids[t] = self._winner(t)
+        # One vectorised key comparison per depth, bottom-up: node t's
+        # children 2t, 2t+1 interleave, so a depth's left children are
+        # every other id of the depth below.
+        lo = P // 2
+        while lo:
+            a, b = self.ids[2 * lo : 4 * lo : 2], self.ids[2 * lo + 1 : 4 * lo : 2]
+            self.ids[lo : 2 * lo] = np.where(self._wins(a, b), a, b)
+            lo //= 2
 
     def _key(self, vid: int) -> tuple[float, int]:
         if vid < 0:
             return (-np.inf, 0)
         return key(self.stale[vid], vid)
+
+    def _wins(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per pair, ``_key(a) >= _key(b)``: the higher score, ties to the
+        smaller id; id -1 is (-inf, 0), as in :meth:`_key`."""
+        sa = np.where(a < 0, -np.inf, self.stale[a])
+        sb = np.where(b < 0, -np.inf, self.stale[b])
+        return (sa > sb) | ((sa == sb) & (np.maximum(a, 0) <= np.maximum(b, 0)))
 
     def _winner(self, t: int) -> int:
         """The id of internal node t's child with the higher key. Ids are

@@ -6,11 +6,13 @@ from repro.cc.local_cc import cc_labels
 from repro.core.evaluate import (
     _PAIR_BLOCK,
     LocalEvaluator,
+    evaluate_batch,
+    evaluate_batch_cc,
     get_center,
 )
 from repro.core.sketches import build_sketches_local, sampled_arcs
 from repro.graphs.csr import build_csr
-from repro.graphs.probs import consistent_probs
+from repro.graphs.probs import consistent_probs, wic_probs
 from repro.hashing import SALT_SKETCH
 from tests.conftest import GRAPH_CASES, brute_marginal
 
@@ -256,3 +258,64 @@ def test_evaluate_rejects_bad_ids(request, monkeypatch, er_setup, backend, ids):
         assert sc.statusTracker().getJobIdsForGroup(group) == []
         assert ev.n_spark_jobs == 0
     assert (ev.n_reevals, ev.n_jobs, ev.n_visits) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("n_seeds", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("graph", sorted(GRAPH_CASES) + ["rmat-wic"])
+def test_cc_pass_equals_bfs_and_brute_force(graph, alpha, n_seeds):
+    """The CC pass gives every vertex GetCenter's mean δ bit for bit, and
+    the brute-force marginal, whatever the seeds and α."""
+    gen, n, p = GRAPH_CASES[graph.removesuffix("-wic")]
+    csr = build_csr(gen(), n=n)
+    probs = wic_probs(csr) if graph.endswith("-wic") else consistent_probs(csr, p)
+    R = 8
+    sk = build_sketches_local(csr, probs, R=R, alpha=alpha)
+    ev = LocalEvaluator(csr, probs, sk)
+    seeds = [3, n // 2][:n_seeds]
+    for s in seeds:
+        ev.mark_seed(s)
+    vs = np.arange(n)
+    bfs, _ = evaluate_batch(csr, probs, sk.center_index, sk.cc, vs,
+                            ev.seeds_mask, ev.zeroed)
+    cc = evaluate_batch_cc(csr, probs, R, vs, np.array(seeds, dtype=np.int64))
+    assert np.array_equal(cc.view(np.int64), bfs.view(np.int64))
+    assert cc.tolist() == [brute_marginal(csr, probs, R, v, seeds) for v in vs]
+
+
+@pytest.mark.parametrize("graph", ["rmat", "grid"])
+def test_large_batch_takes_cc_pass(graph):
+    """A batch whose predicted visits exceed R·n is settled by the CC pass:
+    the same gains as GetCenter, no BFS visits, and its own counters."""
+    gen, n, p = GRAPH_CASES[graph]
+    csr = build_csr(gen(), n=n)
+    probs = consistent_probs(csr, p)
+    sk = build_sketches_local(csr, probs, R=8, alpha=0.0)
+    ev, ref = LocalEvaluator(csr, probs, sk), LocalEvaluator(csr, probs, sk)
+    ev.mark_seed(1)
+    ref.mark_seed(1)
+    vs = np.arange(n)
+    first = ev.evaluate(vs)  # no history yet: predicted n·R, so BFS
+    assert (ev.n_cc_jobs, ev.n_cc_reevals) == (0, 0)
+    visits = ev.n_visits
+    assert visits > ev.sk.R * n  # at α=0 a pair walks its whole CC
+    second = ev.evaluate(vs)
+    assert (ev.n_cc_jobs, ev.n_cc_reevals, ev.n_visits) == (1, n, visits)
+    assert (ev.n_jobs, ev.n_reevals) == (2, 2 * n)
+    assert np.array_equal(second, first)
+    assert np.array_equal(second, ref._batch(vs)[0])
+
+
+def test_full_memo_never_takes_cc_pass(er_csr):
+    """At α=1 every pair settles at its source with one visit, so no batch,
+    however large, is predicted above R·n."""
+    probs = consistent_probs(er_csr, 0.15)
+    sk = build_sketches_local(er_csr, probs, R=8, alpha=1.0)
+    ev = LocalEvaluator(er_csr, probs, sk)
+    vs = np.arange(er_csr.n)
+    for s in (None, 4, 9):
+        if s is not None:
+            ev.mark_seed(s)
+        ev.evaluate(vs)
+    assert ev.n_visits - 2 * sk.R == 3 * len(vs) * sk.R
+    assert (ev.n_cc_jobs, ev.n_cc_reevals) == (0, 0)

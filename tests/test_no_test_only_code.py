@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_DIRS = ("src", "jobs", "benchmarks", "perfbench")
 
 # Reference implementations that tests compare the production paths with.
-TEST_REFERENCES = {"general_greedy", "_spread_once"}
+TEST_REFERENCES = {"general_greedy", "_spread_once", "sampled_arcs"}
 
 _DEF = re.compile(r"\b(?:def|class)\s+\w+")
 

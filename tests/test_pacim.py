@@ -110,7 +110,8 @@ def test_space_counts_every_array(graph, monkeypatch, selector, alpha):
 
 def test_thm31_visits_tradeoff():
     """Compressing by α increases visits per (eval, sketch) toward
-    min(T, 1/α): visits must grow as α shrinks, and stay ~bounded."""
+    min(T, 1/α): visits must grow as α shrinks, and stay ~bounded.
+    Visits are GetCenter's, so they are per vertex of a BFS batch."""
     csr = build_csr(rmat(512, 4000, seed=23), n=512)
     probs = consistent_probs(csr, 0.1)
     per = {}
@@ -119,10 +120,32 @@ def test_thm31_visits_tradeoff():
             None, csr, probs, R=8, alpha=a, k=5,
             selector="wintree", backend="local",
         )
-        per[a] = res["n_visits"] / max(res["n_reevals"], 1) / res["R"]
+        bfs_evals = res["n_reevals"] - res["n_cc_reevals"]
+        per[a] = res["n_visits"] / max(bfs_evals, 1) / res["R"]
     assert per[1.0] <= per[0.25] <= per[0.05]
     assert per[0.25] < 3 * (1 / 0.25)  # O(1/alpha) with slack
     assert per[0.05] < 3 * (1 / 0.05)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25])
+@pytest.mark.parametrize("selector", ["ptree", "wintree"])
+def test_cc_pass_batches_keep_celf_seeds(selector, alpha):
+    """Batched selectors whose large batches take the CC pass pick CELF's
+    seeds with bit-equal gains; CELF's one-vertex batches never switch."""
+    csr = build_csr(rmat(512, 4000, seed=23), n=512)
+    probs = consistent_probs(csr, 0.1)
+    runs = {
+        sel: run_pacim(None, csr, probs, R=8, alpha=alpha, k=5,
+                       selector=sel, backend="local")
+        for sel in ("celf", selector)
+    }
+    base, res = runs["celf"], runs[selector]
+    assert (base["n_cc_jobs"], base["n_cc_reevals"]) == (0, 0)
+    assert res["n_cc_jobs"] > 0
+    assert res["n_cc_reevals"] < res["n_reevals"]
+    assert res["seeds"] == base["seeds"]
+    assert np.array_equal(np.array(res["gains"]).view(np.int64),
+                          np.array(base["gains"]).view(np.int64))
 
 
 def test_counters_and_timers(graph):

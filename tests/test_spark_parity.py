@@ -143,13 +143,14 @@ def test_selection_parity_as_spark_jobs(spark, graph, on_spark):
     r_local = celf_select(LocalEvaluator(csr, probs, sk), 5)
     assert r_spark.seeds == r_local.seeds
     assert r_spark.gains == r_local.gains
-    assert ev.n_spark_jobs == r_spark.n_jobs
+    assert ev.n_spark_jobs == r_spark.n_jobs - ev.n_cc_jobs
 
 
 @pytest.mark.parametrize("selector", ["ptree", "wintree"])
 def test_batch_placement_changes_no_count(spark, graph, monkeypatch, selector):
     """Below the constant every batch runs on the driver and submits no
-    Spark job; at 0 every batch is a job. Seeds, gains and counts agree."""
+    Spark job; at 0 every GetCenter batch is a job, and CC-pass batches
+    still run on the driver. Seeds, gains and counts agree."""
     csr, probs = graph
     sc = spark.sparkContext
     evaluate = SparkEvaluator.__dict__["evaluate"]
@@ -174,8 +175,10 @@ def test_batch_placement_changes_no_count(spark, graph, monkeypatch, selector):
     monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
     jobs, spark_jobs = run(f"placement-spark-{selector}")
     assert driver["n_spark_jobs"] == driver_jobs == 0
-    assert jobs["n_spark_jobs"] == spark_jobs == jobs["n_eval_jobs"] > 0
-    for key in ("seeds", "n_reevals", "n_eval_jobs", "n_visits"):
+    assert jobs["n_spark_jobs"] == spark_jobs == jobs["n_eval_jobs"] - jobs["n_cc_jobs"] > 0
+    assert jobs["n_cc_jobs"] > 0
+    for key in ("seeds", "n_reevals", "n_eval_jobs", "n_visits", "n_cc_jobs",
+                "n_cc_reevals"):
         assert driver[key] == jobs[key]
     assert np.array_equal(np.array(driver["gains"]).view(np.int64),
                           np.array(jobs["gains"]).view(np.int64))

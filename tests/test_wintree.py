@@ -26,6 +26,27 @@ def test_build_invariant_and_root(n):
     assert tree.ids[1] == best
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33, 100, 1000])
+@pytest.mark.parametrize("scores", ["distinct", "tied", "flat", "removed"])
+def test_build_equals_node_by_node_build(n, scores):
+    """The per-depth vectorised build gives every node the id that
+    filling internal nodes one ``_key`` comparison at a time gives: ties
+    to the smaller id, -1 padding past n, -inf scores (removed seeds)."""
+    g = np.random.default_rng(n)
+    s = {"distinct": g.random(n), "tied": np.round(g.random(n) * 3),
+         "flat": np.zeros(n), "removed": np.round(g.random(n) * 3)}[scores]
+    if scores == "removed":
+        s[g.random(n) < 0.3] = -np.inf
+    tree = WinTree(s)
+    ref = np.full(2 * tree.P, -1, dtype=np.int32)
+    ref[tree.P : tree.P + n] = np.arange(n)
+    for t in range(tree.P - 1, 0, -1):
+        a, b = int(ref[2 * t]), int(ref[2 * t + 1])
+        ref[t] = a if tree._key(a) >= tree._key(b) else b
+    assert tree.ids.dtype == ref.dtype
+    assert tree.ids.tolist() == ref.tolist()
+
+
 def test_ties_resolve_to_smaller_id():
     tree = WinTree(np.array([5.0, 5.0, 5.0, 5.0]))
     assert tree.ids[1] == 0
