@@ -124,14 +124,12 @@ def sketch_labels(n: int, edges: tuple, r: int) -> np.ndarray:
 
 
 def _one_sketch(
-    csr: CSR, probs: np.ndarray, centers: np.ndarray, r: int, edges=None
+    n: int, edges: tuple, centers: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(cc_r, per-vertex CC size) for sketch r. ``edges`` is
-    ``_edge_view(csr, probs)``, which a build makes once for all R."""
-    if edges is None:
-        edges = _edge_view(csr, probs)
-    lab = sketch_labels(csr.n, edges, r)
-    comp_sizes = np.bincount(lab, minlength=csr.n)
+    """(cc_r, per-vertex CC size) for sketch r of the n-vertex graph whose
+    :func:`_edge_view` is ``edges``, which a build makes once for all R."""
+    lab = sketch_labels(n, edges, r)
+    comp_sizes = np.bincount(lab, minlength=n)
     comp_of_center = lab[centers]
     uniq, inv = np.unique(comp_of_center, return_inverse=True)
     idx = np.arange(len(centers), dtype=np.int64)
@@ -151,7 +149,7 @@ def build_sketches_local(
     vsum = np.zeros(csr.n, dtype=np.int64)
     edges = _edge_view(csr, probs)
     for r in range(R):
-        cc[r], vsize = _one_sketch(csr, probs, centers, r, edges)
+        cc[r], vsize = _one_sketch(csr.n, edges, centers, r)
         vsum += vsize
     center_index = np.full(csr.n, -1, dtype=np.int32)
     center_index[centers] = np.arange(len(centers), dtype=np.int32)

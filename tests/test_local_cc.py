@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc.local_cc import cc_labels
 from repro.core.evaluate import block_levels
-from repro.core.sketches import _one_sketch
+from repro.core.sketches import _edge_view, _one_sketch
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import erdos_renyi, grid2d
 
@@ -73,7 +73,7 @@ def test_cc_sizes():
     """The sketch build's CC sizes from cc_labels: per vertex, and -size at
     each CC's representative center (α=1, every arc alive)."""
     csr = build_csr(np.array([[0, 1], [1, 2], [3, 4]]), n=6)
-    cc, sizes = _one_sketch(csr, np.ones(len(csr.adj)), np.arange(6), 0)
+    cc, sizes = _one_sketch(6, _edge_view(csr, np.ones(len(csr.adj))), np.arange(6), 0)
     assert sizes.tolist() == [3, 3, 3, 2, 2, 1]
     assert cc.tolist() == [-3, 0, 0, -2, 3, -1]
 
