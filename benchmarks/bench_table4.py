@@ -3,7 +3,7 @@ scale (one scale-free graph, R=16, k=5; Spark backend everywhere).
 
 Full-scale rows: ``python jobs/table4_main.py`` (see EXPERIMENTS.md).
 The paper's shape at this scale: Ours₁ fastest, Ours₀.₁ close with far
-less auxiliary memory, InfuserMG pays one Spark round per CELF
+less auxiliary memory, InfuserMG pays one round per CELF
 re-evaluation, Ripples pays θ RR-set generation + cover.
 """
 import pytest

@@ -30,7 +30,7 @@ def print_table4(rows, title: str) -> None:
          "infl Ours", "infl InfMG", "infl Rip",
          "t Ours1", "t Ours0.1", "t InfMG", "t Rip",
          "MB CSR", "MB Ours1", "MB Ours0.1", "MB InfMG", "MB Rip",
-         "jobs O1", "jobs O0.1", "jobs InfMG", "Spark O0.1", "CC O0.1"],
+         "jobs O1", "jobs O0.1", "jobs InfMG", "CC O0.1"],
         [
             [
                 r["graph"], str(r["n"]), str(r["m"]),
@@ -44,7 +44,7 @@ def print_table4(rows, title: str) -> None:
                 fmt(r["mem_mb"]["ripples"], 3),
                 fmt(r["eval_jobs"]["ours1"]), fmt(r["eval_jobs"]["ours01"]),
                 fmt(r["eval_jobs"]["infusermg"]),
-                fmt(r["spark_jobs_ours01"]), fmt(r["cc_jobs_ours01"]),
+                fmt(r["cc_jobs_ours01"]),
             ]
             for r in rows
         ],

@@ -6,8 +6,8 @@ space) and selects seeds with sequential CELF — parallelism only
 exactly PaC-IM with α = 1 and the 'celf' selector, so the emulation is
 a thin parameterization of :func:`repro.core.pacim.run_pacim`: every
 re-evaluation is its own 1-vertex round, which reproduces the
-baseline's selection-scalability wall (paper Fig. 7) in rounds; on
-Spark such a round is below the job floor and runs on the driver.
+baseline's selection-scalability wall (paper Fig. 7) in rounds; each
+round runs on the driver.
 
 The real InfuserMG also loses solution quality on sparse graphs through
 internal shortcuts (paper Sec. 5: 38–92% of the best influence); our

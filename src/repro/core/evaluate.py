@@ -19,7 +19,7 @@ sources, salt stream and stop rule:
   (``baselines.ris``) walk whole components, a block of simulation or
   RR ids at a time.
 
-A batch is settled one of two ways, both exact:
+A batch is settled one of two ways, both exact and both on the driver:
 
 - ``evaluate_batch``, the GetCenter kernel — per-vertex mean δ over the
   R sketches; pairs whose source is a center (every pair at α=1) settle
@@ -31,57 +31,30 @@ A batch is settled one of two ways, both exact:
   batch, so it wins once the batch's pairs would visit more.
 
 :meth:`LocalEvaluator.evaluate` picks the way per batch from counts
-alone, before placement: the CC pass when the batch's predicted BFS
-visits (its pairs × the visits per pair of the earlier BFS batches, at
-least 1) exceed R·n. At α=1 no batch switches; in a selection, the large
-Win-Tree / P-tree waves after the first seed do. The CC pass always runs
-on the driver, one sketch at a time. A GetCenter batch runs:
-
-- on the driver in :class:`LocalEvaluator`;
-- in :class:`SparkEvaluator`, on the driver too when predicted cheaper
-  than a Spark job (every 1-vertex CELF round), and otherwise as one
-  Spark job through ``spark_jobs.map_range`` like every other job:
-  ``spark.range`` over the batch positions, the batch in the task
-  closure, each task evaluating its vertices on all R sketches against
-  the CSR + sketches broadcast for that job alone.
-
-Each way it is one round (DESIGN.md §2). GetCenter reads the pristine
-sketch arrays. ``MarkSeed`` always runs on the driver (one GetCenter
-block of the seed's R pairs) and records its effect in one (R, ρ) bool
-mask of zeroed labels, which ``evaluate_batch`` applies and Spark tasks
-rebuild from its flat indices; the CC pass reads the seed ids instead.
+alone: the CC pass when the batch's predicted BFS visits (its pairs ×
+the visits per pair of the earlier BFS batches, at least 1) exceed R·n.
+At α=1 no batch switches; in a selection, the large Win-Tree / P-tree
+waves after the first seed do. Either way the batch is one round
+(DESIGN.md §2). GetCenter reads the pristine sketch arrays. ``MarkSeed``
+runs one GetCenter block of the seed's R pairs and records its effect in
+one (R, ρ) bool mask of zeroed labels, which ``evaluate_batch`` applies;
+the CC pass reads the seed ids instead.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.sketches import Sketches, _edge_view, sketch_labels
 from repro.graphs.csr import CSR
 from repro.hashing import SALT_SKETCH, salt_mix, u01
-from repro.spark_jobs import map_range
 
 # (vertex, sketch) pairs traversed together. A block pays its numpy calls
 # once per level for all its pairs, but merges each level into visited
 # keys that grow with the block; without blocks, a batch of long (α=0)
 # traversals ran slower than one pair at a time.
 _PAIR_BLOCK = 256
-
-# Predicted BFS visits (LocalEvaluator._predicted_visits) up to which
-# SparkEvaluator runs a GetCenter batch on the driver: the break-even
-# c = floor·P/(P-1) of a P-task job. Only GetCenter batches are placed: a
-# batch predicted above R·n takes the CC pass on the driver, so this bound
-# matters only where R·n exceeds it (n > 12.5k at R=32, n > 6.25k at R=64),
-# and no table or benchmark workload submits an evaluation job today.
-# benchmarks/bench_spark_job.py times the GetCenter batches of sf-spark
-# selections (SF-A', R=32, α=0.1, 4 cores; medians of 3-5 runs): predicted
-# 214k-222k, 50-110 ms on the driver vs 148-215 ms as a job; 321k, 108-150 vs
-# 149-209 ms; 416k, 154-210 vs 150-261 ms (medians 178 vs 175). The prediction
-# runs 1.3-1.9x above actual visits, hence its unit.
-_DRIVER_VISITS = 400_000
 
 
 def next_level(
@@ -283,13 +256,10 @@ class LocalEvaluator:
     vertices re-evaluated — the paper's Table 5 quantity), ``n_jobs``
     (evaluation batches — the parallel-rounds / span proxy), ``n_visits``
     (GetCenter BFS visits — Thm. 3.1 quantity), ``n_cc_jobs`` /
-    ``n_cc_reevals`` (batches and vertices settled by the CC pass);
-    ``n_spark_jobs`` (batches run as Spark jobs) stays 0 here.
-    :meth:`evaluate` picks GetCenter (:meth:`_batch`, which subclasses
-    may place elsewhere) or the CC pass per batch, then counts.
+    ``n_cc_reevals`` (batches and vertices settled by the CC pass).
+    :meth:`evaluate` picks GetCenter or the CC pass per batch, then
+    counts.
     """
-
-    n_spark_jobs = 0
 
     def __init__(self, csr: CSR, probs: np.ndarray, sketches: Sketches):
         self.csr = csr
@@ -311,7 +281,7 @@ class LocalEvaluator:
 
     def evaluate(self, vs: np.ndarray) -> np.ndarray:
         """True marginal gains of a batch; one parallel round. Ids outside
-        [0, n) raise ``ValueError`` before the batch is placed."""
+        [0, n) raise ``ValueError`` before any work."""
         vs = np.asarray(vs, dtype=np.int64)
         if not np.all((0 <= vs) & (vs < self.csr.n)):
             raise ValueError(f"vertex ids must be in [0, {self.csr.n})")
@@ -322,7 +292,10 @@ class LocalEvaluator:
             self.n_cc_jobs += 1
             self.n_cc_reevals += len(vs)
         else:
-            means, visits = self._batch(vs)
+            means, visits = evaluate_batch(
+                self.csr, self.probs, self.sk.center_index, self.sk.cc,
+                vs, self.seeds_mask, self.zeroed,
+            )
             self.n_visits += visits
             self._visits += visits
         self.n_reevals += len(vs)
@@ -334,13 +307,6 @@ class LocalEvaluator:
         the earlier BFS batches (at least 1)."""
         pairs = (self.n_reevals - self.n_cc_reevals) * self.sk.R
         return n * self.sk.R * max(1.0, self._visits / max(pairs, 1))
-
-    def _batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
-        """:func:`evaluate_batch` of ``vs`` on the driver."""
-        return evaluate_batch(
-            self.csr, self.probs, self.sk.center_index, self.sk.cc,
-            vs, self.seeds_mask, self.zeroed,
-        )
 
     def mark_seed(self, v: int) -> None:
         """Paper's MarkSeed: zero the CC of v on every sketch whose CC has
@@ -357,55 +323,5 @@ class LocalEvaluator:
         self.seeds_mask[v] = True
 
 
-class SparkEvaluator(LocalEvaluator):
-    """GetCenter batches run on the driver or as Spark jobs.
-
-    A BFS batch predicted at most ``_DRIVER_VISITS`` visits runs
-    :func:`evaluate_batch` on the driver; a larger one is one Spark job,
-    counted in ``n_spark_jobs``. CC-pass batches always run on the
-    driver. Placement changes no δ and no other count.
-
-    Each job runs through :func:`repro.spark_jobs.map_range`, which
-    broadcasts ``(csr, probs, sketches)`` for that job and destroys it
-    after; its closure carries the batch, the seed ids and the flat
-    indices of the zeroed labels — a few hundred integers at most.
-    """
-
-    # perfbench patches ``evaluate`` on each class body by name.
-    evaluate = LocalEvaluator.evaluate
-
-    def __init__(
-        self, spark: SparkSession, csr: CSR, probs: np.ndarray, sketches: Sketches
-    ):
-        super().__init__(csr, probs, sketches)
-        self.spark = spark
-
-    def _batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
-        if self._predicted_visits(len(vs)) <= _DRIVER_VISITS:
-            return super()._batch(vs)
-        out = self._spark_batch(vs)
-        self.n_spark_jobs += 1
-        return out
-
-    def _spark_batch(self, vs: np.ndarray) -> tuple[np.ndarray, int]:
-        """:func:`evaluate_batch` of ``vs`` as one Spark job."""
-        seeds = np.array(self.seeds, dtype=np.int64)
-        zeroed = np.flatnonzero(self.zeroed)
-
-        def task(shared, pos: np.ndarray) -> pd.DataFrame:
-            csr, probs, sk = shared
-            seeds_mask = np.zeros(csr.n, dtype=bool)
-            seeds_mask[seeds] = True
-            zmask = np.zeros(sk.cc.shape, dtype=bool)
-            zmask.flat[zeroed] = True
-            means, visits = evaluate_batch(
-                csr, probs, sk.center_index, sk.cc,
-                vs[pos], seeds_mask, zmask,
-            )
-            visits_col = np.zeros(len(pos), dtype=np.int64)
-            visits_col[:1] = visits  # the block total, on its first row
-            return pd.DataFrame({"delta": means, "visits": visits_col})
-
-        out = map_range(self.spark, len(vs), (self.csr, self.probs, self.sk),
-                        task, "delta double, visits long")
-        return out["delta"].to_numpy(), int(out["visits"].sum())
+# ``perfbench/tracing.py`` patches the evaluator under this name too.
+SparkEvaluator = LocalEvaluator

@@ -11,9 +11,9 @@ parameter choice here:
 - ``0<alpha<1`` → PaC-IM compressed sketches;
 - ``selector`` ∈ {'celf', 'ptree', 'wintree'} — sequential vs parallel
   seed selection;
-- ``backend`` ∈ {'local', 'spark'} — driver only, or Spark jobs for
-  large GetCenter batches (sketches build, and CC-pass batches run, on
-  the driver either way).
+- ``backend`` ∈ {'local', 'spark'} — the same run either way: sketches
+  build, and every evaluation batch is settled, on the driver (MC
+  simulation and RR sets are the repo's Spark jobs).
 """
 from __future__ import annotations
 
@@ -23,9 +23,11 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.celf import celf_select
-from repro.core.evaluate import LocalEvaluator, SparkEvaluator
+# run_pacim calls neither the evaluator alias nor ``build_sketches``;
+# ``perfbench/tracing.py`` patches both names on this module.
+from repro.core.evaluate import LocalEvaluator, SparkEvaluator  # noqa: F401
 from repro.core.ptree import ptree_select
-from repro.core.sketches import build_sketches, build_sketches_local
+from repro.core.sketches import build_sketches, build_sketches_local  # noqa: F401
 from repro.core.wintree import wintree_select
 from repro.eval.space import pacim_bytes
 from repro.graphs.csr import CSR, build_csr
@@ -53,12 +55,11 @@ def run_pacim(
 ) -> dict:
     """Run PaC-IM and return seeds + full instrumentation.
 
-    ``graph`` is a CSR or a canonical edge list. ``backend='spark'``
-    requires ``spark`` and runs each GetCenter batch above the Spark job
-    floor as a Spark job (counted by ``n_spark_jobs``), the sketch build,
-    every smaller batch and every CC-pass batch (``n_cc_jobs``, settling
-    ``n_cc_reevals`` vertices) on the driver; ``backend='local'`` runs
-    everything driver-side.
+    ``graph`` is a CSR or a canonical edge list. Both backends build the
+    sketches and settle every evaluation batch on the driver, by GetCenter
+    or by the CC pass (``n_cc_jobs`` batches settling ``n_cc_reevals``
+    vertices), and return the same seeds and counts; ``backend='spark'``
+    still requires ``spark``.
     """
     csr = graph if isinstance(graph, CSR) else build_csr(graph)
     if not 0.0 <= alpha <= 1.0:
@@ -76,16 +77,10 @@ def run_pacim(
         raise ValueError("backend='spark' needs a SparkSession")
 
     t0 = time.perf_counter()
-    if backend == "spark":
-        sketches = build_sketches(
-            spark, csr, probs, R=R, alpha=alpha, center_seed=center_seed
-        )
-        evaluator = SparkEvaluator(spark, csr, probs, sketches)
-    else:
-        sketches = build_sketches_local(
-            csr, probs, R=R, alpha=alpha, center_seed=center_seed
-        )
-        evaluator = LocalEvaluator(csr, probs, sketches)
+    sketches = build_sketches_local(
+        csr, probs, R=R, alpha=alpha, center_seed=center_seed
+    )
+    evaluator = LocalEvaluator(csr, probs, sketches)
     t1 = time.perf_counter()
     sel = _SELECTORS[selector](evaluator, k, max_jobs=max_eval_jobs)
     t2 = time.perf_counter()
@@ -100,7 +95,6 @@ def run_pacim(
         "n_reevals": sel.n_reevals,
         "n_eval_jobs": sel.n_jobs,
         "n_visits": evaluator.n_visits,
-        "n_spark_jobs": evaluator.n_spark_jobs,
         "n_cc_jobs": evaluator.n_cc_jobs,
         "n_cc_reevals": evaluator.n_cc_reevals,
         "space": pacim_bytes(csr, evaluator, sel.structure_bytes),

@@ -172,10 +172,10 @@ def build_sketches(
     alpha: float,
     center_seed: int = 0,
 ) -> Sketches:
-    """The Spark backend's sketch build: ``build_sketches_local`` on the
-    driver (see the module docstring), so it submits no Spark job and
-    makes no broadcast. ``spark`` is unused; the signature is the one
-    Spark-backend callers share."""
+    """``build_sketches_local`` under the Spark-backend signature, which
+    ``perfbench/run.py``'s warm-up still calls; it submits no Spark job
+    and makes no broadcast (see the module docstring). ``run_pacim``
+    calls ``build_sketches_local`` on both backends."""
     return build_sketches_local(
         csr, probs, R=R, alpha=alpha, center_seed=center_seed
     )

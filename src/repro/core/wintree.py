@@ -9,7 +9,7 @@ depths, then three (``_WAVE_DEPTHS``) — and tests every stale node in
 them against the best true key Δ* known when the wave starts: a stale
 node whose stale key loses is pruned *with its whole subtree*, a
 non-stale node always descends. The surviving stale ids form one
-evaluation batch (one parallel round / Spark job); Δ* is then raised
+evaluation batch (one parallel round); Δ* is then raised
 write-max-style and the next wave starts below the span. Looking ahead
 like this is the asynchrony of Alg. 5 in bulk — a thread descends
 before its ancestors' Δ* arrives — and trades a few more evaluations

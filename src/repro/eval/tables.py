@@ -224,9 +224,7 @@ def table4_rows(
                     "ours01": ours01["n_eval_jobs"],
                     "infusermg": None if inf is None else inf["n_eval_jobs"],
                 },
-                # How many of Ours₀.₁'s evaluation batches ran as Spark
-                # jobs, and how many as CC passes on the driver.
-                "spark_jobs_ours01": ours01["n_spark_jobs"],
+                # How many of Ours₀.₁'s evaluation batches ran as CC passes.
                 "cc_jobs_ours01": ours01["n_cc_jobs"],
                 "theta": None if rip is None else rip["theta"],
             }

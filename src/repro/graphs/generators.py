@@ -6,8 +6,7 @@ These are the laptop-scale stand-ins for the paper's Table 3 inputs
 - :func:`rmat` — recursive-matrix scale-free graphs (social/web analogs);
 - :func:`grid2d` — 2-D lattices (road-network analogs);
 - :func:`knn_graph` — k-nearest-neighbour graphs over random points
-  (the paper's k-NN class, optionally clustered);
-- :func:`erdos_renyi` — uniform random graphs for tests.
+  (the paper's k-NN class, optionally clustered).
 
 Every generator returns a canonical undirected edge list as an
 ``(m, 2) int64`` numpy array with ``u < v``, deduplicated, no self loops
@@ -102,13 +101,6 @@ def knn_graph(
         us_list.append(np.repeat(rows, k))
         vs_list.append(nbrs.ravel())
     return _canonicalize(np.concatenate(us_list), np.concatenate(vs_list))
-
-
-def erdos_renyi(n: int, m_target: int, *, seed: int) -> np.ndarray:
-    """G(n, m)-style uniform random graph (approximate m after dedup)."""
-    g = np.random.default_rng(seed)
-    n_arcs = int(m_target * 1.1) + 8
-    return _canonicalize(g.integers(0, n, n_arcs), g.integers(0, n, n_arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Every Spark job in the repo has one shape, :func:`map_range`: broadcast
 one shared value, map blocks of ids through a numpy kernel in a
 pandas-UDF task against it, collect, and destroy the broadcast once the
-rows are collected (or the job fails). Sketch construction, MC
-simulation, RR sets and each evaluation batch large enough to pay for a
-job run through it, so no Spark state outlives one call. Each task
-evicts its worker's cached zip importers, which halves a small job.
+rows are collected (or the job fails). MC simulation and RR sets run
+through it, so no Spark state outlives one call; sketch construction and
+every evaluation batch run on the driver. Each task evicts its worker's
+cached zip importers, which halves a small job.
 """
 from __future__ import annotations
 

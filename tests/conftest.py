@@ -11,8 +11,15 @@ import pytest
 
 from repro.core.sketches import build_sketches_local
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi, grid2d, knn_graph, rmat
+from repro.graphs.generators import _canonicalize, grid2d, knn_graph, rmat
 from repro.graphs.probs import consistent_probs
+
+
+def erdos_renyi(n: int, m_target: int, *, seed: int) -> np.ndarray:
+    """G(n, m)-style uniform random graph (approximate m after dedup)."""
+    g = np.random.default_rng(seed)
+    n_arcs = int(m_target * 1.1) + 8
+    return _canonicalize(g.integers(0, n, n_arcs), g.integers(0, n, n_arcs))
 
 
 GRAPH_CASES = {

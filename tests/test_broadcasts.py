@@ -6,13 +6,13 @@ from pyspark.errors import PythonException
 
 from repro.baselines.ris import generate_rr_sets
 from repro.baselines.simulate import estimate_spread
-from repro.core import evaluate as evaluate_mod
-from repro.core.evaluate import SparkEvaluator
+from repro.core.evaluate import evaluate_batch
 from repro.core.pacim import run_pacim
 from repro.core.sketches import build_sketches, build_sketches_local
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import rmat
 from repro.graphs.probs import consistent_probs
+from repro.spark_jobs import map_range
 
 
 @pytest.fixture
@@ -29,42 +29,34 @@ def made(monkeypatch):
     return out
 
 
-def _entry_points(spark) -> dict:
-    """Run every Spark entry point once; ``run_pacim``'s result."""
+def test_spark_entry_points_release_broadcasts(spark, made):
+    """Every Spark entry point, run once, destroys the broadcasts it made."""
     csr = build_csr(rmat(128, 600, seed=5), n=128)
     probs = consistent_probs(csr, 0.12)
     build_sketches(spark, csr, probs, R=4, alpha=0.2)
     estimate_spread(spark, csr, probs, [1, 2], n_sims=16)
     generate_rr_sets(spark, csr, probs, 16)
-    return run_pacim(spark, csr, probs, R=4, alpha=0.2, k=2, backend="spark")
-
-
-def test_spark_entry_points_release_broadcasts(spark, made):
-    res = _entry_points(spark)
-    assert res["n_spark_jobs"] == 0
-    assert len(made) == 2  # MC and RR; both sketch builds run on the driver
+    run_pacim(spark, csr, probs, R=4, alpha=0.2, k=2, backend="spark")
+    # MC and RR; sketch builds and evaluation batches run on the driver
+    assert len(made) == 2
     assert not any(b._jbroadcast.isValid() for b in made)
 
 
-def test_evaluation_jobs_release_broadcasts(spark, made, monkeypatch):
-    monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
-    res = _entry_points(spark)
-    assert res["n_spark_jobs"] > 0
-    assert len(made) == 2 + res["n_spark_jobs"]  # one per evaluation job
-    assert not any(b._jbroadcast.isValid() for b in made)
-
-
-def test_failed_evaluation_job_releases_its_broadcast(spark, made, monkeypatch):
-    monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
+def test_failed_evaluation_job_releases_its_broadcast(spark, made):
+    """A ``map_range`` job whose evaluation task raises still destroys the
+    broadcast it made."""
     csr = build_csr(rmat(128, 600, seed=5), n=128)
     probs = consistent_probs(csr, 0.12)
     sk = build_sketches_local(csr, probs, R=4, alpha=0.2)
-    ev = SparkEvaluator(spark, csr, probs, sk)
-    # evaluate rejects bad vertex ids before placement, so the task fails
-    # on a seed id instead: out of range only inside the task.
-    ev.seeds.append(csr.n + 5)
+
+    def task(shared, ids):
+        csr, probs, sk = shared
+        seeds_mask = np.zeros(csr.n, dtype=bool)
+        zeroed = np.zeros(sk.cc.shape, dtype=bool)
+        evaluate_batch(csr, probs, sk.center_index, sk.cc, ids + csr.n,
+                       seeds_mask, zeroed)  # ids out of range: IndexError
+
     with pytest.raises(PythonException, match="IndexError"):
-        ev.evaluate(np.array([3]))
-    assert ev.n_spark_jobs == ev.n_jobs == 0
+        map_range(spark, 1, (csr, probs, sk), task, "delta double")
     assert len(made) == 1
     assert not made[0]._jbroadcast.isValid()

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.csr import build_csr, csr_bytes
-from repro.graphs.generators import erdos_renyi
 from repro.hashing import edge_key
+from tests.conftest import erdos_renyi
 
 
 @pytest.fixture

@@ -227,36 +227,15 @@ def test_mark_seed_block_equals_single_get_centers(graph, alpha):
 
 
 @pytest.mark.parametrize("ids", [[-1], [0, 200], [3, 250, 5]],
-                         ids=["minus-1", "n", "above-n"])
-@pytest.mark.parametrize("backend", ["local", "spark"])
-def test_evaluate_rejects_bad_ids(request, monkeypatch, er_setup, backend, ids):
-    """Ids outside [0, n) raise ValueError before the batch is placed: no
-    Spark job is submitted and no counter moves. The message match keeps
-    numpy's own errors from passing."""
+                         ids=["local-minus-1", "local-n", "local-above-n"])
+def test_evaluate_rejects_bad_ids(er_setup, ids):
+    """Ids outside [0, n) raise ValueError and move no counter. The message
+    match keeps numpy's own errors from passing."""
     csr, probs, sk = er_setup
     assert csr.n == 200
-    if backend == "local":
-        ev = LocalEvaluator(csr, probs, sk)
-        with pytest.raises(ValueError, match="vertex ids"):
-            ev.evaluate(np.array(ids))
-    else:
-        from repro.core import evaluate as evaluate_mod
-        from repro.core.evaluate import SparkEvaluator
-
-        spark = request.getfixturevalue("spark")
-        monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)  # every batch a job
-        ev = SparkEvaluator(spark, csr, probs, sk)
-        sc = spark.sparkContext
-        group = f"bad-ids-{'-'.join(map(str, ids))}"
-        sc.setJobGroup(group, "rejected evaluation batch")
-        try:
-            with pytest.raises(ValueError, match="vertex ids"):
-                ev.evaluate(np.array(ids))
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-            sc.setJobDescription(None)
-        assert sc.statusTracker().getJobIdsForGroup(group) == []
-        assert ev.n_spark_jobs == 0
+    ev = LocalEvaluator(csr, probs, sk)
+    with pytest.raises(ValueError, match="vertex ids"):
+        ev.evaluate(np.array(ids))
     assert (ev.n_reevals, ev.n_jobs, ev.n_visits) == (0, 0, 0)
 
 
@@ -303,7 +282,8 @@ def test_large_batch_takes_cc_pass(graph):
     assert (ev.n_cc_jobs, ev.n_cc_reevals, ev.n_visits) == (1, n, visits)
     assert (ev.n_jobs, ev.n_reevals) == (2, 2 * n)
     assert np.array_equal(second, first)
-    assert np.array_equal(second, ref._batch(vs)[0])
+    assert np.array_equal(second, evaluate_batch(
+        csr, probs, sk.center_index, sk.cc, vs, ref.seeds_mask, ref.zeroed)[0])
 
 
 def test_full_memo_never_takes_cc_pass(er_csr):

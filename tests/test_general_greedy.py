@@ -5,8 +5,8 @@ import pytest
 from repro.baselines.general_greedy import general_greedy
 from repro.baselines.simulate import estimate_spread_local
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi
 from repro.graphs.probs import consistent_probs
+from tests.conftest import erdos_renyi
 
 
 def test_star_picks_hub_first():

@@ -4,11 +4,11 @@ import pytest
 
 from repro.graphs.generators import (
     SUITE,
-    erdos_renyi,
     grid2d,
     knn_graph,
     rmat,
 )
+from tests.conftest import erdos_renyi
 
 GENS = {
     "rmat": lambda seed: rmat(256, 1500, seed=seed),

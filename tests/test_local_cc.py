@@ -6,7 +6,8 @@ from repro.cc.local_cc import cc_labels
 from repro.core.evaluate import block_levels
 from repro.core.sketches import _edge_view, _one_sketch
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi, grid2d
+from repro.graphs.generators import grid2d
+from tests.conftest import erdos_renyi
 
 
 def _ref_labels(n, us, vs):

@@ -3,10 +3,12 @@
 Every top-level function or class in ``src/repro``, and every non-dunder
 method of a top-level class, must be named in a file under ``src/``,
 ``jobs/``, ``benchmarks/`` or ``perfbench/`` other than by its own
-definition. Re-export imports in ``__init__.py`` do not count.
+definition. Re-export imports in ``__init__.py``, comments and strings
+(docstrings included) do not count.
 """
 import ast
-import re
+import io
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -14,8 +16,6 @@ PROGRAM_DIRS = ("src", "jobs", "benchmarks", "perfbench")
 
 # Reference implementations that tests compare the production paths with.
 TEST_REFERENCES = {"general_greedy", "_spread_once", "sampled_arcs"}
-
-_DEF = re.compile(r"\b(?:def|class)\s+\w+")
 
 
 def _definitions() -> set[str]:
@@ -34,17 +34,22 @@ def _definitions() -> set[str]:
 
 
 def _named(source: str, init: bool) -> set[str]:
-    """Words of ``source`` outside definition headers and, in an
-    ``__init__.py``, outside its import statements."""
+    """Names in the code of ``source``: not in comments or strings,
+    docstrings included, not the name a ``def``/``class`` header defines
+    and, in an ``__init__.py``, not in its import statements."""
+    skip: set[int] = set()
     if init:
-        lines = source.splitlines()
         for node in ast.parse(source).body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                lines[node.lineno - 1 : node.end_lineno] = [""] * (
-                    node.end_lineno - node.lineno + 1
-                )
-        source = "\n".join(lines)
-    return set(re.findall(r"\w+", _DEF.sub("", source)))
+                skip.update(range(node.lineno, node.end_lineno + 1))
+    names, prev = set(), None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if (tok.type == tokenize.NAME and tok.start[0] not in skip
+                and tok.string not in ("def", "class")
+                and prev not in ("def", "class")):
+            names.add(tok.string)
+        prev = tok.string
+    return names
 
 
 def _program_names() -> set[str]:
@@ -65,3 +70,5 @@ def test_guard_ignores_definitions_and_reexports():
     reexport = "from m import (\n    f,\n    g,\n)\n"
     assert _named(reexport, init=True) == set()
     assert {"f", "g"} <= _named(reexport, init=False)
+    words = '"""f g."""\nx = "h"  # k\n'
+    assert _named(words, init=False) == {"x"}

@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.pacim import run_pacim
 from repro.graphs.csr import build_csr, csr_bytes
-from repro.graphs.generators import erdos_renyi, rmat
+from repro.graphs.generators import rmat
 from repro.graphs.probs import consistent_probs
+from tests.conftest import erdos_renyi
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi
 from repro.graphs.probs import (
     check_probs,
     consistent_probs,
@@ -11,6 +10,7 @@ from repro.graphs.probs import (
     uniform_probs,
     wic_probs,
 )
+from tests.conftest import erdos_renyi
 
 
 @pytest.fixture

@@ -13,9 +13,9 @@ from repro.baselines.ris import (
 from repro.cc.local_cc import cc_labels
 from repro.core.sketches import sampled_arcs
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi
 from repro.graphs.probs import consistent_probs
 from repro.hashing import SALT_RR
+from tests.conftest import erdos_renyi
 
 
 @pytest.fixture(scope="module")

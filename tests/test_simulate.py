@@ -12,9 +12,10 @@ from repro.baselines.simulate import (
 )
 from repro.cc.local_cc import cc_labels
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi, grid2d, rmat
+from repro.graphs.generators import grid2d, rmat
 from repro.graphs.probs import consistent_probs, uniform_probs
 from repro.hashing import SALT_SIM, u01
+from tests.conftest import erdos_renyi
 
 
 def test_spread_counts_seeds_themselves():

@@ -1,6 +1,6 @@
-"""Spark execution paths must agree bit-for-bit with the local kernels:
-batch evaluation, MC simulation, RR generation, and the Spark backend's
-sketch build, which runs on the driver."""
+"""The Spark backend must agree bit-for-bit with the local one: MC
+simulation and RR generation run as Spark jobs; the sketch build and
+every evaluation batch run on the driver on both backends."""
 import collections
 
 import numpy as np
@@ -8,15 +8,12 @@ import pytest
 
 from repro.baselines.ris import generate_rr_sets, generate_rr_sets_local
 from repro.baselines.simulate import estimate_spread, estimate_spread_local
-from repro.core import evaluate as evaluate_mod
-from repro.core.celf import celf_select
-from repro.core.evaluate import LocalEvaluator, SparkEvaluator
 from repro.core.pacim import run_pacim
 from repro.core.sketches import build_sketches, build_sketches_local
-from repro.core.wintree import wintree_select
 from repro.graphs.csr import build_csr
-from repro.graphs.generators import erdos_renyi, rmat
+from repro.graphs.generators import rmat
 from repro.graphs.probs import consistent_probs, wic_probs
+from tests.conftest import erdos_renyi
 
 
 @pytest.fixture(scope="module")
@@ -47,28 +44,27 @@ def test_sketch_build_parity(spark, graph, alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
 def test_evaluator_parity_through_seeding(spark, graph, alpha):
+    """Every evaluation and MarkSeed count, and every gain bit, is the same
+    on both backends."""
     csr, probs = graph
-    sk = build_sketches_local(csr, probs, R=8, alpha=alpha)
-    ev_s = SparkEvaluator(spark, csr, probs, sk)
-    ev_l = LocalEvaluator(csr, probs, sk)
-    vs = np.array([0, 3, 17, 200, 255])
-    assert np.allclose(ev_s.evaluate(vs), ev_l.evaluate(vs))
-    for s in (3, 100):
-        ev_s.mark_seed(s)
-        ev_l.mark_seed(s)
-        assert np.allclose(ev_s.evaluate(vs), ev_l.evaluate(vs))
-    assert ev_s.n_reevals == ev_l.n_reevals
-    assert ev_s.n_jobs == ev_l.n_jobs
-    assert ev_s.n_visits == ev_l.n_visits
+    kw = dict(R=8, alpha=alpha, k=5, selector="celf")
+    r_s = run_pacim(spark, csr, probs, backend="spark", **kw)
+    r_l = run_pacim(None, csr, probs, backend="local", **kw)
+    for key in ("seeds", "n_reevals", "n_eval_jobs", "n_visits", "n_cc_jobs",
+                "n_cc_reevals"):
+        assert r_s[key] == r_l[key], key
+    assert np.array_equal(np.array(r_s["gains"]).view(np.int64),
+                          np.array(r_l["gains"]).view(np.int64))
 
 
 def test_selection_parity(spark, graph):
+    """Win-Tree on the Spark backend picks local CELF's seeds."""
     csr, probs = graph
-    sk = build_sketches_local(csr, probs, R=8, alpha=0.5)
-    r_spark = wintree_select(SparkEvaluator(spark, csr, probs, sk), 5)
-    r_local = celf_select(LocalEvaluator(csr, probs, sk), 5)
-    assert r_spark.seeds == r_local.seeds
-    assert np.allclose(r_spark.gains, r_local.gains)
+    kw = dict(R=8, alpha=0.5, k=5)
+    r_spark = run_pacim(spark, csr, probs, selector="wintree", backend="spark", **kw)
+    r_local = run_pacim(None, csr, probs, selector="celf", backend="local", **kw)
+    assert r_spark["seeds"] == r_local["seeds"]
+    assert np.allclose(r_spark["gains"], r_local["gains"])
 
 
 def test_run_pacim_spark_backend(spark, graph):
@@ -110,75 +106,3 @@ def test_rr_parity(spark):
         return {k: sorted(v) for k, v in d.items()}
 
     assert group(*a) == group(*b)
-
-
-@pytest.fixture
-def on_spark(monkeypatch):
-    """Every evaluation batch of a SparkEvaluator runs as a Spark job."""
-    monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
-
-
-@pytest.mark.parametrize("alpha", [0.3, 1.0])
-def test_evaluator_parity_through_seeding_as_spark_jobs(spark, graph, alpha, on_spark):
-    csr, probs = graph
-    sk = build_sketches_local(csr, probs, R=8, alpha=alpha)
-    ev_s = SparkEvaluator(spark, csr, probs, sk)
-    ev_l = LocalEvaluator(csr, probs, sk)
-    vs = np.array([0, 3, 17, 200, 255])
-    for s in (None, 3, 100):
-        if s is not None:
-            ev_s.mark_seed(s)
-            ev_l.mark_seed(s)
-        assert np.array_equal(ev_s.evaluate(vs), ev_l.evaluate(vs))
-    assert (ev_s.n_reevals, ev_s.n_jobs, ev_s.n_visits) == (
-        ev_l.n_reevals, ev_l.n_jobs, ev_l.n_visits)
-    assert ev_s.n_spark_jobs == ev_s.n_jobs == 3
-
-
-def test_selection_parity_as_spark_jobs(spark, graph, on_spark):
-    csr, probs = graph
-    sk = build_sketches_local(csr, probs, R=8, alpha=0.5)
-    ev = SparkEvaluator(spark, csr, probs, sk)
-    r_spark = wintree_select(ev, 5)
-    r_local = celf_select(LocalEvaluator(csr, probs, sk), 5)
-    assert r_spark.seeds == r_local.seeds
-    assert r_spark.gains == r_local.gains
-    assert ev.n_spark_jobs == r_spark.n_jobs - ev.n_cc_jobs
-
-
-@pytest.mark.parametrize("selector", ["ptree", "wintree"])
-def test_batch_placement_changes_no_count(spark, graph, monkeypatch, selector):
-    """Below the constant every batch runs on the driver and submits no
-    Spark job; at 0 every GetCenter batch is a job, and CC-pass batches
-    still run on the driver. Seeds, gains and counts agree."""
-    csr, probs = graph
-    sc = spark.sparkContext
-    evaluate = SparkEvaluator.__dict__["evaluate"]
-    tracker = sc.statusTracker()
-
-    def run(group):
-        def in_group(ev, vs):
-            sc.setJobGroup(group, "evaluation batch")
-            try:
-                return evaluate(ev, vs)
-            finally:
-                sc.setLocalProperty("spark.jobGroup.id", None)
-                sc.setJobDescription(None)
-
-        with monkeypatch.context() as m:
-            m.setattr(SparkEvaluator, "evaluate", in_group)
-            res = run_pacim(spark, csr, probs, R=8, alpha=0.2, k=4,
-                            selector=selector, backend="spark")
-        return res, len(tracker.getJobIdsForGroup(group))
-
-    driver, driver_jobs = run(f"placement-driver-{selector}")
-    monkeypatch.setattr(evaluate_mod, "_DRIVER_VISITS", 0)
-    jobs, spark_jobs = run(f"placement-spark-{selector}")
-    assert driver["n_spark_jobs"] == driver_jobs == 0
-    assert jobs["n_spark_jobs"] == spark_jobs == jobs["n_eval_jobs"] - jobs["n_cc_jobs"] > 0
-    assert jobs["n_cc_jobs"] > 0
-    for key in ("seeds", "n_reevals", "n_eval_jobs", "n_visits", "n_cc_jobs",
-                "n_cc_reevals"):
-        assert driver[key] == jobs[key]
-    assert np.array_equal(np.array(driver["gains"]).view(np.int64),
-                          np.array(jobs["gains"]).view(np.int64))
