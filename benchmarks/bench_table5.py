@@ -1,6 +1,6 @@
 """Benchmark for paper Table 5: CELF vs P-tree vs Win-Tree selection on
-shared sketches (counts + wall time at bench scale, local backend — the
-counts are backend-independent).
+shared sketches (counts + wall time at bench scale, on the driver, where
+every evaluation batch runs).
 
 Full-scale rows: ``python jobs/table5_evals.py`` (see EXPERIMENTS.md).
 """

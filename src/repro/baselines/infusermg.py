@@ -6,8 +6,8 @@ space) and selects seeds with sequential CELF — parallelism only
 exactly PaC-IM with α = 1 and the 'celf' selector, so the emulation is
 a thin parameterization of :func:`repro.core.pacim.run_pacim`: every
 re-evaluation is its own 1-vertex round, which reproduces the
-baseline's selection-scalability wall (paper Fig. 7) in rounds; each
-round runs on the driver.
+baseline's selection-scalability wall (paper Fig. 7) in rounds. The
+whole emulation runs on the driver, so it takes no Spark session.
 
 The real InfuserMG also loses solution quality on sparse graphs through
 internal shortcuts (paper Sec. 5: 38–92% of the best influence); our
@@ -16,24 +16,16 @@ emulation is quality-faithful and does not replicate that bug.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.core.pacim import run_pacim
 from repro.graphs.csr import CSR
 
 
 def run_infusermg(
-    spark: SparkSession | None,
-    csr: CSR,
-    probs: np.ndarray,
-    *,
-    R: int,
-    k: int,
-    backend: str = "spark",
-    max_eval_jobs: int | None = None,
+    csr: CSR, probs: np.ndarray, *, R: int, k: int, max_eval_jobs: int | None = None
 ) -> dict:
-    """α = 1 full memoization + sequential CELF."""
+    """α = 1 full memoization + sequential CELF, on the driver."""
     return run_pacim(
-        spark, csr, probs, R=R, alpha=1.0, k=k,
-        selector="celf", backend=backend, max_eval_jobs=max_eval_jobs,
+        None, csr, probs, R=R, alpha=1.0, k=k,
+        selector="celf", backend="local", max_eval_jobs=max_eval_jobs,
     )

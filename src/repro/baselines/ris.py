@@ -5,7 +5,8 @@ sketches*: sample θ random roots, record for each the set of vertices
 that could have activated it, then pick the k seeds greedily covering
 the most RR sets. On an undirected graph under IC, the RR set of a root
 is simply its connected component in one live-edge sample — which is
-what each distributed task computes here.
+what each task of the RR-set job computes here. The job runs on Spark
+iff it is given a session (:func:`repro.spark_jobs.map_range`).
 
 θ follows the TIM recipe θ = λ(ε)/OPT̂ with a pilot-phase OPT estimate.
 RR storage is accounted per entry; when the projected storage exceeds
@@ -61,17 +62,16 @@ def _rr_sets(
     return ids[np.concatenate(out_t)], np.concatenate(out_v)
 
 
-def generate_rr_sets_local(
-    csr: CSR, probs: np.ndarray, theta: int, *, offset: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rr_id, member) arrays for θ RR sets, driver-side."""
-    return _rr_sets(csr, probs, np.arange(theta), offset)
-
-
 def generate_rr_sets(
-    spark: SparkSession, csr: CSR, probs: np.ndarray, theta: int, *, offset: int = 0
+    spark: SparkSession | None,
+    csr: CSR,
+    probs: np.ndarray,
+    theta: int,
+    *,
+    offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(rr_id, member) arrays for θ RR sets, one Spark job."""
+    """(rr_id, member) arrays for θ RR sets, one job (on Spark iff
+    ``spark`` is given)."""
 
     def task(shared, ids: np.ndarray) -> pd.DataFrame:
         csr_b, probs_b = shared
@@ -125,9 +125,9 @@ def run_ris(
     pilot_theta: int = 2048,
     theta_cap: int = 2_000_000,
     entry_budget: int = 20_000_000,
-    backend: str = "spark",
 ) -> dict:
-    """Two-phase RIS: pilot OPT estimate, then the full θ-sample run.
+    """Two-phase RIS: pilot OPT estimate, then the full θ-sample run; the
+    RR sets are generated on Spark iff ``spark`` is given.
 
     Raises :class:`RRBudgetExceeded` if the projected RR storage blows
     the budget (the '-' entries of paper Tab. 4).
@@ -139,15 +139,8 @@ def run_ris(
         raise ValueError(f"eps must be positive, got {eps!r}")
     if pilot_theta < 1:
         raise ValueError(f"pilot_theta must be at least 1, got {pilot_theta!r}")
-    if backend not in ("local", "spark"):
-        raise ValueError(f"unknown backend {backend!r}")
-    gen = (
-        (lambda th, off: generate_rr_sets(spark, csr, probs, th, offset=off))
-        if backend == "spark"
-        else (lambda th, off: generate_rr_sets_local(csr, probs, th, offset=off))
-    )
     t0 = time.perf_counter()
-    pilot_ids, pilot_members = gen(pilot_theta, 0)
+    pilot_ids, pilot_members = generate_rr_sets(spark, csr, probs, pilot_theta)
     _, pilot_cov = greedy_max_cover(pilot_ids, pilot_members, csr.n, pilot_theta, k)
     opt_hat = max(csr.n * pilot_cov, 1.0)
     theta = min(choose_theta(csr.n, k, eps, opt_hat), theta_cap)
@@ -157,7 +150,7 @@ def run_ris(
         raise RRBudgetExceeded(
             f"projected {projected} RR entries exceed budget {entry_budget}"
         )
-    rr_ids, members = gen(theta, pilot_theta)
+    rr_ids, members = generate_rr_sets(spark, csr, probs, theta, offset=pilot_theta)
     t1 = time.perf_counter()
     seeds, cov = greedy_max_cover(rr_ids, members, csr.n, theta, k)
     t2 = time.perf_counter()

@@ -29,9 +29,10 @@ hash, the call's remaining blocks run as sampled CC. The CC pass reads
 one probability per edge, so both arcs of an edge must carry the same one
 (``graphs.probs.check_probs``).
 
-``estimate_spread`` distributes the simulations (one Spark task per
-range of simulation ids, each running the rule on its own range);
-``estimate_spread_local`` runs them on the driver.
+``estimate_spread`` runs the simulations as one
+:func:`repro.spark_jobs.map_range` job: on Spark iff it is given a
+session (one task per range of simulation ids, each running the rule on
+its own range), otherwise on the driver over every id.
 """
 from __future__ import annotations
 
@@ -116,24 +117,8 @@ def _check_args(
     return check_probs(csr, probs), seeds
 
 
-def estimate_spread_local(
-    csr: CSR,
-    probs: np.ndarray,
-    seeds,
-    *,
-    n_sims: int,
-    sim_offset: int = 0,
-) -> float:
-    """Mean spread over ``n_sims`` simulations, driver-side."""
-    probs, seeds = _check_args(csr, probs, seeds, n_sims)
-    if seeds.size == 0:
-        return 0.0
-    salts = SALT_SIM + sim_offset + np.arange(n_sims)
-    return int(_spreads(csr, probs, seeds, salts).sum()) / n_sims
-
-
 def estimate_spread(
-    spark: SparkSession,
+    spark: SparkSession | None,
     csr: CSR,
     probs: np.ndarray,
     seeds,
@@ -141,7 +126,8 @@ def estimate_spread(
     n_sims: int,
     sim_offset: int = 0,
 ) -> float:
-    """Mean spread over ``n_sims`` simulations, one Spark job."""
+    """Mean spread over ``n_sims`` simulations, one job (on Spark iff
+    ``spark`` is given)."""
     probs, seeds = _check_args(csr, probs, seeds, n_sims)
     if seeds.size == 0:
         return 0.0
@@ -153,3 +139,12 @@ def estimate_spread(
 
     out = map_range(spark, n_sims, (csr, probs), task, "spread long")
     return float(out["spread"].mean())
+
+
+def estimate_spread_local(
+    csr: CSR, probs: np.ndarray, seeds, *, n_sims: int, sim_offset: int = 0
+) -> float:
+    """``estimate_spread(None, …)``. Kept only because ``perfbench/run.py``
+    calls it by name; ROADMAP item 7 retires it."""
+    return estimate_spread(None, csr, probs, seeds, n_sims=n_sims,
+                           sim_offset=sim_offset)

@@ -14,8 +14,8 @@ lookups: ``lab = i if cc[r, i] < 0 else cc[r, i]``, then
 ``core.evaluate``).
 
 Sketches are independent, so construction could parallelize across them
-(Alg. 1 line 1) as one Spark job, but it runs on the driver for both
-backends. A job only pays above the builds the repository runs: 4-core
+(Alg. 1 line 1) as one Spark job, but it always runs on the driver. A
+job only pays above the builds the repository runs: 4-core
 box, α=0.1, medians over 4-5 runs, a job that shipped one int64 vector
 per task took 0.12-0.26 s at 0.4M arc hashes (R × ``len(csr.adj)``)
 against 0.01-0.02 s on the driver, was level with the driver at 3.1M
@@ -172,10 +172,10 @@ def build_sketches(
     alpha: float,
     center_seed: int = 0,
 ) -> Sketches:
-    """``build_sketches_local`` under the Spark-backend signature, which
-    ``perfbench/run.py``'s warm-up still calls; it submits no Spark job
-    and makes no broadcast (see the module docstring). ``run_pacim``
-    calls ``build_sketches_local`` on both backends."""
+    """``build_sketches_local`` under a signature that takes a session,
+    which ``perfbench/run.py``'s warm-up still calls; it submits no Spark
+    job and makes no broadcast (see the module docstring). ``run_pacim``
+    calls ``build_sketches_local`` whether or not it has a session."""
     return build_sketches_local(
         csr, probs, R=R, alpha=alpha, center_seed=center_seed
     )

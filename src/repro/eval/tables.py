@@ -17,7 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.infusermg import run_infusermg
 from repro.baselines.ris import RRBudgetExceeded, run_ris
-from repro.baselines.simulate import estimate_spread, estimate_spread_local
+from repro.baselines.simulate import estimate_spread
 from repro.core.celf import EvalBudgetExceeded, celf_select
 from repro.core.evaluate import LocalEvaluator
 from repro.core.pacim import run_pacim
@@ -90,21 +90,19 @@ def table3_rows(
     k: int = 100,
     n_sims: int = 2000,
 ) -> list[dict]:
-    """|V|, |E|, and MC-estimated influence of PaC-IM's k seeds."""
+    """|V|, |E|, and MC-estimated influence of PaC-IM's k seeds (the MC
+    job on Spark iff ``spark`` is given)."""
     rows = []
     for name in names or SUITE:
         spec = SUITE[name] if name in SUITE else TIMED_SUITE[name]
         csr, _, cls = _graph(spec)
         probs = _probs(csr, spec, "consistent")
-        # Counts/seeds are α- and backend-independent; use the fast path.
+        # Counts/seeds are α-independent; use the α=1 fast path.
         res = run_pacim(
             None, csr, probs, R=R, alpha=1.0, k=k,
             selector="wintree", backend="local",
         )
-        if spark is not None:
-            infl = estimate_spread(spark, csr, probs, res["seeds"], n_sims=n_sims)
-        else:
-            infl = estimate_spread_local(csr, probs, res["seeds"], n_sims=n_sims)
+        infl = estimate_spread(spark, csr, probs, res["seeds"], n_sims=n_sims)
         rows.append(
             {
                 "graph": name,
@@ -131,15 +129,14 @@ def table4_rows(
     k: int = 25,
     n_sims: int = 1000,
     infusermg_budget: int = 2500,
-    ris_entry_budget: int = 20_000_000,
-    ris_theta_cap: int = 2_000_000,
 ) -> list[dict]:
     """One row per graph: Ours₁, Ours₀.₁, InfuserMG, Ripples.
 
-    Every system runs with the Spark backend, ``_TIME_RUNS`` times per
-    graph, and each time cell is the median; '-' entries mean the run
-    exceeded its budget (evaluation jobs for InfuserMG, RR storage for
-    Ripples) — the analog of the paper's 3 h / 1.5 TB '-' cells.
+    Every system runs ``_TIME_RUNS`` times per graph, and each time cell is
+    the median; Ripples' RR sets and every MC influence run as Spark jobs.
+    '-' entries mean the run exceeded its budget (evaluation jobs for
+    InfuserMG, RR storage for Ripples, at ``run_ris``' defaults) — the
+    analog of the paper's 3 h / 1.5 TB '-' cells.
     """
     rows = []
     for i, name in enumerate(names or TIMED_SUITE):
@@ -147,29 +144,22 @@ def table4_rows(
         csr, _, cls = _graph(spec)
         probs = _probs(csr, spec, model)
         if i == 0:  # untimed: a young session's first jobs run slow
-            run_pacim(spark, csr, probs, R=R, alpha=0.1, k=k, backend="spark")
+            run_pacim(spark, csr, probs, R=R, alpha=0.1, k=k)
 
         ours1 = _timed(lambda: run_pacim(
-            spark, csr, probs, R=R, alpha=1.0, k=k,
-            selector="wintree", backend="spark",
+            spark, csr, probs, R=R, alpha=1.0, k=k, selector="wintree"
         ))
         ours01 = _timed(lambda: run_pacim(
-            spark, csr, probs, R=R, alpha=0.1, k=k,
-            selector="wintree", backend="spark",
+            spark, csr, probs, R=R, alpha=0.1, k=k, selector="wintree"
         ))
         try:
             inf = _timed(lambda: run_infusermg(
-                spark, csr, probs, R=R, k=k,
-                backend="spark", max_eval_jobs=infusermg_budget,
+                csr, probs, R=R, k=k, max_eval_jobs=infusermg_budget
             ))
         except EvalBudgetExceeded:
             inf = None
         try:
-            rip = _timed(lambda: run_ris(
-                spark, csr, probs, k=k, eps=0.5,
-                entry_budget=ris_entry_budget, theta_cap=ris_theta_cap,
-                backend="spark",
-            ))
+            rip = _timed(lambda: run_ris(spark, csr, probs, k=k, eps=0.5))
         except RRBudgetExceeded:
             rip = None
 
@@ -240,8 +230,8 @@ def table5_rows(
 ) -> list[dict]:
     """Re-evaluation counts of CELF / P-tree / Win-Tree per graph.
 
-    Counts are backend- and α-independent (the evaluators return the
-    same scores), so this runs on the driver with the α=1 fast path.
+    Counts are α-independent (the evaluators return the same scores), so
+    this runs on the driver with the α=1 fast path.
     """
     rows = []
     for name in names or SUITE:

@@ -31,16 +31,13 @@ def _canonicalize(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return edges[order]
 
 
-def rmat(
-    n: int,
-    m_target: int,
-    *,
-    seed: int,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-) -> np.ndarray:
-    """RMAT scale-free generator (Chakrabarti et al. parameters by default).
+# RMAT quadrant probabilities (Chakrabarti et al.): top-left, top-right,
+# bottom-left; bottom-right takes the rest.
+_RMAT_A, _RMAT_B, _RMAT_C = 0.57, 0.19, 0.19
+
+
+def rmat(n: int, m_target: int, *, seed: int) -> np.ndarray:
+    """RMAT scale-free generator (Chakrabarti et al. parameters).
 
     ``n`` must be a power of two. Oversamples arcs by 15% to compensate for
     duplicate collapse, then canonicalizes; the returned edge count is
@@ -53,6 +50,7 @@ def rmat(
     n_arcs = int(m_target * 1.15)
     us = np.zeros(n_arcs, dtype=np.int64)
     vs = np.zeros(n_arcs, dtype=np.int64)
+    a, b, c = _RMAT_A, _RMAT_B, _RMAT_C
     p_u = a + b  # P(descend into top half for the source bit)
     for _ in range(levels):
         u_bit = g.random(n_arcs) >= p_u
@@ -75,10 +73,12 @@ def grid2d(rows: int, cols: int) -> np.ndarray:
     return _canonicalize(us, vs)
 
 
-def knn_graph(
-    n: int, k: int, *, seed: int, dim: int = 2, clusters: int = 0
-) -> np.ndarray:
-    """k-NN graph over random points, symmetrized.
+# Dimension of the points a k-NN graph is built over.
+_KNN_DIM = 2
+
+
+def knn_graph(n: int, k: int, *, seed: int, clusters: int = 0) -> np.ndarray:
+    """k-NN graph over random points in the plane, symmetrized.
 
     With ``clusters > 0`` points are drawn around that many Gaussian
     centers (the paper's k-NN datasets — GeoLife, CHEM — are strongly
@@ -86,11 +86,11 @@ def knn_graph(
     """
     g = np.random.default_rng(seed)
     if clusters > 0:
-        centers = g.random((clusters, dim)) * 10.0
+        centers = g.random((clusters, _KNN_DIM)) * 10.0
         assign = g.integers(0, clusters, n)
-        pts = centers[assign] + g.normal(0, 0.3, (n, dim))
+        pts = centers[assign] + g.normal(0, 0.3, (n, _KNN_DIM))
     else:
-        pts = g.random((n, dim))
+        pts = g.random((n, _KNN_DIM))
     us_list, vs_list = [], []
     block = 2048
     for start in range(0, n, block):

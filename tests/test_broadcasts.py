@@ -1,4 +1,5 @@
-"""Every broadcast a Spark entry point makes is destroyed before it returns."""
+"""Every broadcast a Spark entry point makes is destroyed before it
+returns, and an entry point given no session makes none."""
 import numpy as np
 import pytest
 from pyspark import SparkContext
@@ -40,6 +41,20 @@ def test_spark_entry_points_release_broadcasts(spark, made):
     # MC and RR; sketch builds and evaluation batches run on the driver
     assert len(made) == 2
     assert not any(b._jbroadcast.isValid() for b in made)
+
+
+def test_driver_runs_make_no_broadcast(spark, made):
+    """Given no session, MC and RR sets run on the driver: no broadcast,
+    and the same spread and RR sets as their Spark jobs."""
+    csr = build_csr(rmat(128, 600, seed=5), n=128)
+    probs = consistent_probs(csr, 0.12)
+    spread = estimate_spread(None, csr, probs, [1, 2], n_sims=16)
+    rr = generate_rr_sets(None, csr, probs, 16)
+    assert made == []
+    assert spread == estimate_spread(spark, csr, probs, [1, 2], n_sims=16)
+    for a, b in zip(rr, generate_rr_sets(spark, csr, probs, 16)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(made) == 2
 
 
 def test_failed_evaluation_job_releases_its_broadcast(spark, made):

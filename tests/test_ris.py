@@ -6,7 +6,7 @@ from repro.baselines.ris import (
     RRBudgetExceeded,
     _rr_root,
     choose_theta,
-    generate_rr_sets_local,
+    generate_rr_sets,
     greedy_max_cover,
     run_ris,
 )
@@ -26,7 +26,7 @@ def graph():
 
 def test_rr_set_is_component_of_root(graph):
     csr, probs = graph
-    ids, members = generate_rr_sets_local(csr, probs, 10)
+    ids, members = generate_rr_sets(None, csr, probs, 10)
     for i in range(10):
         root = _rr_root(i, 0, csr.n)
         rr = members[ids == i]
@@ -45,7 +45,7 @@ def test_roots_roughly_uniform(graph):
 
 def test_generate_local_shapes(graph):
     csr, probs = graph
-    ids, members = generate_rr_sets_local(csr, probs, 32)
+    ids, members = generate_rr_sets(None, csr, probs, 32)
     assert len(ids) == len(members)
     assert set(ids.tolist()) == set(range(32))
 
@@ -90,13 +90,13 @@ def test_greedy_max_cover_never_repeats_a_seed():
 @pytest.mark.parametrize("p", [0.9, 1.0])
 def test_run_ris_distinct_seeds_once_all_covered(p):
     csr = build_csr(erdos_renyi(60, 150, seed=1), n=60)
-    res = run_ris(None, csr, consistent_probs(csr, p), k=5, backend="local")
+    res = run_ris(None, csr, consistent_probs(csr, p), k=5)
     assert len(set(res["seeds"])) == 5
 
 
 def test_cover_fraction_monotone(graph):
     csr, probs = graph
-    ids, members = generate_rr_sets_local(csr, probs, 64)
+    ids, members = generate_rr_sets(None, csr, probs, 64)
     covs = [
         greedy_max_cover(ids, members, csr.n, 64, k)[1] for k in (1, 3, 6, 10)
     ]
@@ -116,7 +116,7 @@ def test_run_ris_local_quality(graph):
 
     csr, probs = graph
     ris = run_ris(None, csr, probs, k=5, eps=0.5, pilot_theta=256,
-                  theta_cap=4000, backend="local")
+                  theta_cap=4000)
     pac = run_pacim(None, csr, probs, R=32, alpha=1.0, k=5, backend="local")
     s_ris = estimate_spread_local(csr, probs, ris["seeds"], n_sims=400)
     s_pac = estimate_spread_local(csr, probs, pac["seeds"], n_sims=400)
@@ -125,11 +125,18 @@ def test_run_ris_local_quality(graph):
     assert ris["space"]["total_bytes"] > 0
 
 
+def test_run_ris_without_a_session_runs_on_the_driver(graph):
+    """No session, default arguments: the RR sets are generated on the
+    driver rather than failing inside the Spark job."""
+    csr, probs = graph
+    assert len(run_ris(None, csr, probs, k=3)["seeds"]) == 3
+
+
 def test_run_ris_budget_exceeded(graph):
     csr, probs = graph
     with pytest.raises(RRBudgetExceeded):
         run_ris(None, csr, probs, k=5, eps=0.5, pilot_theta=64,
-                entry_budget=10, backend="local")
+                entry_budget=10)
 
 
 def test_rr_salts_disjoint_from_sketch_salts(graph):
@@ -153,17 +160,15 @@ def test_rr_salts_disjoint_from_sketch_salts(graph):
         ("eps", -1.0, "eps must"),
         ("eps", 0.0, "eps must"),
         ("pilot_theta", 0, "pilot_theta must"),
-        ("backend", "bogus", "backend"),
     ],
     ids=["k-zero", "k-above-n", "probs-short", "probs-scalar", "probs-nan",
-         "probs-above-1", "eps-negative", "eps-zero", "pilot-zero",
-         "backend-unknown"],
+         "probs-above-1", "eps-negative", "eps-zero", "pilot-zero"],
 )
 def test_run_ris_rejects_bad_arguments(graph, key, bad, match):
     """Bad arguments fail at the boundary, not as a full θ run, a math
     domain error or deep inside numpy."""
     csr, probs = graph
-    args = {"k": 3, "probs": probs, "pilot_theta": 64, "backend": "local"}
+    args = {"k": 3, "probs": probs, "pilot_theta": 64}
     args[key] = bad(probs) if callable(bad) else bad
     with pytest.raises(ValueError, match=match):
         run_ris(None, csr, **args)

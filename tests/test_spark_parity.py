@@ -1,13 +1,13 @@
-"""The Spark backend must agree bit-for-bit with the local one: MC
-simulation and RR generation run as Spark jobs; the sketch build and
-every evaluation batch run on the driver on both backends."""
+"""Spark runs must agree bit-for-bit with driver runs: MC simulation and
+RR generation run as ``map_range`` jobs on Spark iff given a session; the
+sketch build and every evaluation batch run on the driver either way."""
 import collections
 
 import numpy as np
 import pytest
 
-from repro.baselines.ris import generate_rr_sets, generate_rr_sets_local
-from repro.baselines.simulate import estimate_spread, estimate_spread_local
+from repro.baselines.ris import generate_rr_sets
+from repro.baselines.simulate import estimate_spread
 from repro.core.pacim import run_pacim
 from repro.core.sketches import build_sketches, build_sketches_local
 from repro.graphs.csr import build_csr
@@ -81,23 +81,23 @@ def test_run_pacim_spark_backend(spark, graph):
 def test_spread_parity(spark, graph):
     csr, probs = graph
     s1 = estimate_spread(spark, csr, probs, [5, 9, 30], n_sims=128)
-    s2 = estimate_spread_local(csr, probs, [5, 9, 30], n_sims=128)
-    assert s1 == pytest.approx(s2)
+    s2 = estimate_spread(None, csr, probs, [5, 9, 30], n_sims=128)
+    assert s1 == s2
 
 
 def test_spread_parity_wic(spark, graph):
     csr, _ = graph
     probs = wic_probs(csr)
     s1 = estimate_spread(spark, csr, probs, [1, 2], n_sims=64)
-    s2 = estimate_spread_local(csr, probs, [1, 2], n_sims=64)
-    assert s1 == pytest.approx(s2)
+    s2 = estimate_spread(None, csr, probs, [1, 2], n_sims=64)
+    assert s1 == s2
 
 
 def test_rr_parity(spark):
     csr = build_csr(erdos_renyi(100, 250, seed=23), n=100)
     probs = consistent_probs(csr, 0.2)
     a = generate_rr_sets(spark, csr, probs, 48)
-    b = generate_rr_sets_local(csr, probs, 48)
+    b = generate_rr_sets(None, csr, probs, 48)
 
     def group(ids, members):
         d = collections.defaultdict(list)

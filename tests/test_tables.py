@@ -67,11 +67,13 @@ def test_table4_memory_cells_match_committed_row():
     spec = TIMED_SUITE["SF-A'"]
     csr, _, _ = _graph(spec)
     probs = _probs(csr, spec, "consistent")
-    kw = dict(R=64, k=25, backend="local")
+    kw = dict(R=64, k=25)
     runs = {
-        "MB Ours1": run_pacim(None, csr, probs, alpha=1.0, selector="wintree", **kw),
-        "MB Ours0.1": run_pacim(None, csr, probs, alpha=0.1, selector="wintree", **kw),
-        "MB InfMG": run_infusermg(None, csr, probs, **kw),
+        "MB Ours1": run_pacim(None, csr, probs, alpha=1.0, selector="wintree",
+                              backend="local", **kw),
+        "MB Ours0.1": run_pacim(None, csr, probs, alpha=0.1, selector="wintree",
+                                backend="local", **kw),
+        "MB InfMG": run_infusermg(csr, probs, **kw),
     }
     rows = [
         [c.strip() for c in line.strip().strip("|").split("|")]
