@@ -63,16 +63,19 @@ def greedy_select(
 
     ``next_seed()`` runs one round on the selector's priority structure
     and returns (seed, true gain). A round's entry in
-    ``extra["batches_per_round"]`` counts the evaluation jobs it issued.
+    ``extra["batches_per_round"]`` counts the evaluation jobs it issued,
+    and in ``extra["cc_passes_per_round"]`` the CC passes they ran.
     """
     jobs0, evals0 = evaluator.n_jobs, evaluator.n_reevals
     seeds: list[int] = []
     gains: list[float] = []
     batches: list[int] = []
+    passes: list[int] = []
     for _ in range(min(k, evaluator.csr.n)):
-        jobs = evaluator.n_jobs
+        jobs, cc_jobs = evaluator.n_jobs, evaluator.n_cc_jobs
         s, gain = next_seed()
         batches.append(evaluator.n_jobs - jobs)
+        passes.append(evaluator.n_cc_jobs - cc_jobs)
         seeds.append(s)
         gains.append(gain)
         evaluator.mark_seed(s)
@@ -82,7 +85,7 @@ def greedy_select(
         n_reevals=evaluator.n_reevals - evals0,
         n_jobs=evaluator.n_jobs - jobs0,
         structure_bytes=structure_bytes,
-        extra={"batches_per_round": batches},
+        extra={"batches_per_round": batches, "cc_passes_per_round": passes},
     )
 
 

@@ -30,12 +30,14 @@ A batch is settled one of two ways, both exact and both on the driver:
   compression (Alg. 3 line 2). It costs R·n vertex slots whatever the
   batch, so it wins once the batch's pairs would visit more.
 
-:meth:`LocalEvaluator.evaluate` picks the way per batch from counts
-alone: the CC pass when the batch's predicted BFS visits (its pairs ×
-the visits per pair of the earlier BFS batches, at least 1) exceed R·n.
-At α=1 no batch switches; in a selection, the large Win-Tree / P-tree
-waves after the first seed do. Either way the batch is one round
-(DESIGN.md §2). GetCenter reads the pristine sketch arrays. ``MarkSeed``
+:meth:`LocalEvaluator.evaluate` picks the way from counts alone. The
+first batch of a round predicted above R·n BFS visits (its pairs × the
+visits per pair of the earlier BFS batches, at least 1) runs the CC pass
+for all n vertices; the seeds, so every δ, stay fixed until the next
+MarkSeed, and every later batch of the round reads the kept δ. At α=1
+no batch switches; in a selection, the large Win-Tree / P-tree waves
+after the first seed do. Either way the batch is one round (DESIGN.md
+§2). GetCenter reads the pristine sketch arrays. ``MarkSeed``
 runs one GetCenter block of the seed's R pairs and records its effect in
 one (R, ρ) bool mask of zeroed labels, which ``evaluate_batch`` applies;
 the CC pass reads the seed ids instead.
@@ -255,10 +257,11 @@ class LocalEvaluator:
     mask of labels whose CC holds a seed. Counters: ``n_reevals`` (total
     vertices re-evaluated — the paper's Table 5 quantity), ``n_jobs``
     (evaluation batches — the parallel-rounds / span proxy), ``n_visits``
-    (GetCenter BFS visits — Thm. 3.1 quantity), ``n_cc_jobs`` /
-    ``n_cc_reevals`` (batches and vertices settled by the CC pass).
-    :meth:`evaluate` picks GetCenter or the CC pass per batch, then
-    counts.
+    (GetCenter BFS visits — Thm. 3.1 quantity), ``n_cc_jobs`` (CC passes
+    run) and ``n_cc_reevals`` (vertices read from a pass's δ, which
+    ``_kept`` holds until the next MarkSeed: round-scoped scratch that
+    ``pacim_bytes`` does not count). :meth:`evaluate` picks GetCenter or
+    the kept δ per batch, then counts.
     """
 
     def __init__(self, csr: CSR, probs: np.ndarray, sketches: Sketches):
@@ -274,6 +277,7 @@ class LocalEvaluator:
         self.n_cc_jobs = 0
         self.n_cc_reevals = 0
         self._visits = 0  # of BFS batches, not MarkSeed
+        self._kept: np.ndarray | None = None  # this round's CC-pass δ, all n
 
     def init_scores(self) -> np.ndarray:
         """Marginal(∅, v) for all v — harvested at sketch construction."""
@@ -285,11 +289,15 @@ class LocalEvaluator:
         vs = np.asarray(vs, dtype=np.int64)
         if not np.all((0 <= vs) & (vs < self.csr.n)):
             raise ValueError(f"vertex ids must be in [0, {self.csr.n})")
-        if self._predicted_visits(len(vs)) > self.sk.R * self.csr.n:
-            means = evaluate_batch_cc(
-                self.csr, self.probs, self.sk.R, vs, np.flatnonzero(self.seeds_mask)
+        n = self.csr.n
+        if self._kept is None and self._predicted_visits(len(vs)) > self.sk.R * n:
+            self._kept = evaluate_batch_cc(
+                self.csr, self.probs, self.sk.R, np.arange(n),
+                np.flatnonzero(self.seeds_mask),
             )
             self.n_cc_jobs += 1
+        if self._kept is not None:
+            means = self._kept[vs]
             self.n_cc_reevals += len(vs)
         else:
             means, visits = evaluate_batch(
@@ -310,7 +318,8 @@ class LocalEvaluator:
 
     def mark_seed(self, v: int) -> None:
         """Paper's MarkSeed: zero the CC of v on every sketch whose CC has
-        a center, by marking its label in ``zeroed``. One GetCenter block."""
+        a center, by marking its label in ``zeroed``, and drop the round's
+        kept CC-pass δ. One GetCenter block."""
         v = int(v)
         rs = np.arange(self.sk.R)
         _, lab, visits = get_center(
@@ -321,6 +330,7 @@ class LocalEvaluator:
         self.zeroed[rs[lab >= 0], lab[lab >= 0]] = True
         self.seeds.append(v)
         self.seeds_mask[v] = True
+        self._kept = None
 
 
 # ``perfbench/tracing.py`` patches the evaluator under this name too.

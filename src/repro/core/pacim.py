@@ -57,9 +57,9 @@ def run_pacim(
 
     ``graph`` is a CSR or a canonical edge list. Both backends build the
     sketches and settle every evaluation batch on the driver, by GetCenter
-    or by the CC pass (``n_cc_jobs`` batches settling ``n_cc_reevals``
-    vertices), and return the same seeds and counts; ``backend='spark'``
-    still requires ``spark``.
+    or from the CC pass (``n_cc_jobs`` passes, at most one per round, whose
+    δ settles ``n_cc_reevals`` vertices), and return the same seeds and
+    counts; ``backend='spark'`` still requires ``spark``.
     """
     csr = graph if isinstance(graph, CSR) else build_csr(graph)
     if not 0.0 <= alpha <= 1.0:

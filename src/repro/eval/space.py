@@ -12,6 +12,13 @@ algorithms actually allocate:
 - selection structure: heap / P-tree nodes / Win-Tree id array;
 - initial scores: one float64 per vertex;
 - RIS: one 8-byte entry per (RR-set, member) pair plus the cover state.
+
+The rule: what a selection holds *across rounds* is counted; round-scoped
+scratch is not. A round is the span between two MarkSeeds. The CC pass's
+per-sketch label and size arrays live within one batch, and the
+evaluator's kept CC-pass δ (8n bytes, ``LocalEvaluator._kept``) from the
+pass to the next MarkSeed, so neither is counted, and after the last
+MarkSeed the evaluator holds only the arrays above.
 """
 from __future__ import annotations
 

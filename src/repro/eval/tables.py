@@ -214,7 +214,7 @@ def table4_rows(
                     "ours01": ours01["n_eval_jobs"],
                     "infusermg": None if inf is None else inf["n_eval_jobs"],
                 },
-                # How many of Ours₀.₁'s evaluation batches ran as CC passes.
+                # How many CC passes Ours₀.₁ ran (at most one per round).
                 "cc_jobs_ours01": ours01["n_cc_jobs"],
                 "theta": None if rip is None else rip["theta"],
             }

@@ -286,6 +286,47 @@ def test_large_batch_takes_cc_pass(graph):
         csr, probs, sk.center_index, sk.cc, vs, ref.seeds_mask, ref.zeroed)[0])
 
 
+@pytest.mark.parametrize("graph", ["rmat", "grid"])
+def test_round_reads_kept_cc_pass(graph):
+    """After a round's CC pass, every later batch of the round, large or of
+    one vertex, reads the pass's kept δ: no second pass, no BFS visits,
+    GetCenter's δ bit for bit. MarkSeed drops it, so the next large batch
+    runs a new pass that sees the new seed."""
+    gen, n, p = GRAPH_CASES[graph]
+    csr = build_csr(gen(), n=n)
+    probs = consistent_probs(csr, p)
+    sk = build_sketches_local(csr, probs, R=8, alpha=0.0)
+    ev = LocalEvaluator(csr, probs, sk)
+    seeds = [1]
+    ev.mark_seed(1)
+
+    def reference(vs):
+        ref = LocalEvaluator(csr, probs, sk)
+        for s in seeds:
+            ref.mark_seed(s)
+        return evaluate_batch(csr, probs, sk.center_index, sk.cc, vs,
+                              ref.seeds_mask, ref.zeroed)[0]
+
+    vs = np.arange(n)
+    ev.evaluate(vs)  # BFS: fills the visits-per-pair history
+    ev.evaluate(vs)  # the round's CC pass
+    assert ev.n_cc_jobs == 1
+    visits, settled = ev.n_visits, ev.n_cc_reevals
+    for batch in (vs[::-1][: n // 2], np.array([n - 2])):
+        got = ev.evaluate(batch)
+        settled += len(batch)
+        assert (ev.n_cc_jobs, ev.n_cc_reevals, ev.n_visits) == (1, settled, visits)
+        assert np.array_equal(got.view(np.int64), reference(batch).view(np.int64))
+    before = ev.evaluate(vs)
+    s = int(np.argmax(before))
+    ev.mark_seed(s)
+    seeds.append(s)
+    after = ev.evaluate(vs)
+    assert ev.n_cc_jobs == 2
+    assert np.array_equal(after.view(np.int64), reference(vs).view(np.int64))
+    assert after[s] == 0 < before[s]
+
+
 def test_full_memo_never_takes_cc_pass(er_csr):
     """At α=1 every pair settles at its source with one visit, so no batch,
     however large, is predicted above R·n."""

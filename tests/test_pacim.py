@@ -149,6 +149,57 @@ def test_cc_pass_batches_keep_celf_seeds(selector, alpha):
                           np.array(base["gains"]).view(np.int64))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25])
+@pytest.mark.parametrize("selector", ["ptree", "wintree"])
+def test_at_most_one_cc_pass_per_round(selector, alpha):
+    """Every round of a batched selection runs at most one CC pass; the
+    rounds' passes add up to the run's, and the seeds and gains are
+    CELF's bit for bit."""
+    csr = build_csr(rmat(512, 4000, seed=23), n=512)
+    probs = consistent_probs(csr, 0.1)
+    runs = {
+        sel: run_pacim(None, csr, probs, R=8, alpha=alpha, k=5,
+                       selector=sel, backend="local")
+        for sel in ("celf", selector)
+    }
+    base, res = runs["celf"], runs[selector]
+    passes = res["extra"]["cc_passes_per_round"]
+    assert len(passes) == 5 and max(passes) <= 1
+    assert sum(passes) == res["n_cc_jobs"] > 0
+    assert base["extra"]["cc_passes_per_round"] == [0] * 5
+    assert res["seeds"] == base["seeds"]
+    assert np.array_equal(np.array(res["gains"]).view(np.int64),
+                          np.array(base["gains"]).view(np.int64))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("selector", ["ptree", "wintree"])
+def test_no_kept_array_outlives_a_round(monkeypatch, selector, alpha):
+    """The CC pass's kept δ is round-scoped scratch: after every MarkSeed,
+    and so at the end of ``run_pacim``, the evaluator holds only the arrays
+    ``pacim_bytes`` counts. A selection that keeps δ within a round still
+    drops it."""
+    import repro.core.pacim as pacim_mod
+
+    held = {"kept_before": [], "arrays_after": []}
+
+    class Evaluator(pacim_mod.LocalEvaluator):
+        def mark_seed(self, v):
+            held["kept_before"].append(self._kept is not None)
+            super().mark_seed(v)
+            held["arrays_after"].append(sorted(
+                name for name, a in vars(self).items()
+                if isinstance(a, np.ndarray) and a is not self.probs
+            ))
+
+    monkeypatch.setattr(pacim_mod, "LocalEvaluator", Evaluator)
+    csr = build_csr(rmat(512, 4000, seed=23), n=512)
+    run_pacim(None, csr, consistent_probs(csr, 0.1), R=8, alpha=alpha, k=5,
+              selector=selector, backend="local")
+    assert any(held["kept_before"])
+    assert held["arrays_after"] == [["seeds_mask", "zeroed"]] * 5
+
+
 def test_counters_and_timers(graph):
     csr, probs = graph
     res = run_pacim(None, csr, probs, R=8, alpha=0.3, k=4, backend="local")
