@@ -1,8 +1,10 @@
 """Micro-benchmarks of the evaluation kernel: one 256-vertex
 ``LocalEvaluator.evaluate`` (256 x R (vertex, sketch) GetCenter pairs, the
 first batch of a fresh evaluator, so never settled by the CC pass), and
-one ``LocalEvaluator.mark_seed`` (R pairs of the top-scoring vertex); and of
-the MC kernel: 256 simulations of 10 seeds.
+one ``LocalEvaluator.mark_seed`` (R pairs of the top-scoring vertex); of
+the MC kernel: 256 simulations of 10 seeds; and of the sampled-CC layer:
+one R-sketch build, and one ``cc_labels`` of 8 sampled graphs of the grid
+at p=0.5, near its percolation threshold, where components wind longest.
 
 Two graph classes at three memoization levels: a scale-free RMAT graph
 (n=8192, supercritical at p=0.1, so compressed sketches walk ~1/α
@@ -19,11 +21,11 @@ import pytest
 from repro.baselines import simulate
 from repro.cc.local_cc import cc_labels
 from repro.core.evaluate import LocalEvaluator
-from repro.core.sketches import build_sketches_local
+from repro.core.sketches import _edge_view, build_sketches_local, sampled_edges
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import grid2d, rmat
 from repro.graphs.probs import consistent_probs
-from repro.hashing import SALT_SIM
+from repro.hashing import SALT_SIM, SALT_SKETCH
 
 R = 32
 BATCH = 256
@@ -98,3 +100,21 @@ def test_kernel_spread(benchmark, graph, monkeypatch):
     benchmark.extra_info["cc_blocks"] = len(cc_blocks) // 3
     benchmark.extra_info["mean_spread"] = float(counts.mean())
     assert (counts >= len(seeds)).all()
+
+
+def test_kernel_build(benchmark, graph):
+    csr, probs = graph
+    sk = benchmark.pedantic(build_sketches_local, args=(csr, probs),
+                            kwargs={"R": R, "alpha": 0.1}, rounds=3)
+    benchmark.extra_info["edge_hashes"] = R * csr.m
+    assert sk.cc.shape == (R, sk.rho)
+
+
+def test_kernel_cc_labels(benchmark):
+    csr = build_csr(grid2d(110, 110), n=110 * 110)
+    edges = _edge_view(csr, consistent_probs(csr, 0.5))
+    b = 8
+    us, vs = sampled_edges(csr.n, edges, SALT_SKETCH + np.arange(b))
+    lab = benchmark.pedantic(cc_labels, args=(b * csr.n, us, vs), rounds=5)
+    benchmark.extra_info["edges"] = len(us)
+    benchmark.extra_info["components"] = int((lab == np.arange(b * csr.n)).sum())

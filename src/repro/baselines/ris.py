@@ -40,8 +40,10 @@ _RR_BLOCK = 256
 
 
 def _rr_root(i: int | np.ndarray, offset: int, n: int) -> np.int64 | np.ndarray:
-    """Deterministic uniform random root of RR set i (an id or an array)."""
-    return (u01(i, SALT_RR + offset + 0xBEEF) * n).astype(np.int64)
+    """Deterministic uniform random root of RR set i (an id or an array).
+    ``u01`` is 1.0 for 1,024 of the 2**64 hashes, which would give root n,
+    so the root is clamped to n - 1."""
+    return np.minimum((u01(i, SALT_RR + offset + 0xBEEF) * n).astype(np.int64), n - 1)
 
 
 def _rr_sets(

@@ -17,8 +17,9 @@ same either way:
   expands — the degree sum of the vertices it reaches — so it wins when
   the seeds reach little of the graph (subcritical grids, WIC);
 - **sampled CC**: hash every undirected edge once per simulation, as
-  its ``u < v`` arc (the edge view and sampler the sketch build uses,
-  :mod:`repro.core.sketches`), and label the disjoint union of the
+  its ``u < v`` arc, and flip its coin as an integer compare with the
+  edge's uint64 threshold (the edge view and sampler the sketch build
+  uses, :mod:`repro.core.sketches`), and label the disjoint union of the
   block's sampled graphs with :func:`repro.cc.cc_labels`. It hashes
   ``b·m`` coins for a block of ``b``, fewer than a BFS that reaches most
   of the graph, which expands most edges from both endpoints.

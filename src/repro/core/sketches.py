@@ -24,7 +24,8 @@ workload makes) and won from 6-9M on.
 
 Per sketch, the build labels the sampled graph (:func:`sketch_labels`:
 each undirected edge hashed once, from its ``u < v`` arc in
-:func:`_edge_view`, then the local min-label-propagation CC kernel) and
+:func:`_edge_view`, its coin an integer compare with the edge's uint64
+threshold, then the local hook-and-contract CC kernel) and
 keeps the center arrays. Full CC labels are in hand during construction,
 so the initial CELF scores ``Δ̄[v] = Marginal(∅, v)`` (the mean CC size
 of v over all sketches) are harvested here for free instead of running
@@ -44,7 +45,7 @@ from pyspark.sql import SparkSession
 
 from repro.cc.local_cc import cc_labels
 from repro.graphs.csr import CSR
-from repro.hashing import SALT_SKETCH, salt_mix, u01
+from repro.hashing import SALT_SKETCH, coin_threshold, coins, u01
 
 
 @dataclass
@@ -96,24 +97,28 @@ def sampled_arcs(
 def _edge_view(
     csr: CSR, probs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, arc_key, probability) of every edge, from its ``u < v`` arc.
+    """(u, v, arc_key, coin threshold) of every edge, from its ``u < v``
+    arc; the threshold is :func:`repro.hashing.coin_threshold` of the
+    edge's probability.
 
     Both arcs of an edge share its key and (``graphs.probs.check_probs``)
     its probability, so hashing the one arc flips the edge's coin."""
     src = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees())
     fwd = src < csr.adj
-    return src[fwd], csr.adj[fwd].astype(np.int64), csr.arc_key[fwd], probs[fwd]
+    return (src[fwd], csr.adj[fwd].astype(np.int64), csr.arc_key[fwd],
+            coin_threshold(probs[fwd]))
 
 
 def sampled_edges(
     n: int, edges: tuple, salts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of the edges alive in the disjoint union of the sampled
-    graphs of ``salts``, vertex v of salt t being ``t * n + v``. Each edge
-    of ``edges`` (an :func:`_edge_view`) is hashed once per salt, the coin
-    every traversal of that salt flips on either of its arcs."""
-    us, vs, keys, p = edges
-    t, e = np.nonzero(u01(keys ^ salt_mix(salts)[:, None], 0) < p)
+    graphs of ``salts``, vertex v of salt t being ``t * n + v``, ordered by
+    salt, then edge. Each edge of ``edges`` (an :func:`_edge_view`) is
+    hashed once per salt, the coin every traversal of that salt flips on
+    either of its arcs (:func:`repro.hashing.coins`)."""
+    us, vs, keys, thresh = edges
+    t, e = np.divmod(np.flatnonzero(coins(keys, salts, thresh)), len(keys))
     return t * n + us[e], t * n + vs[e]
 
 

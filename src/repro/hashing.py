@@ -7,6 +7,11 @@ adopts the same idea (paper Sec. 2, Alg. 3 ``Sample``). We implement it
 with a splitmix64 finalizer over uint64 numpy arrays so the same bits are
 produced on the driver and inside every pandas-UDF task.
 
+An edge is alive iff ``u01(key, salt) < p``. Traversals flip that float
+coin arc by arc; the sampled-CC layer flips the same coin for every edge
+at once as an integer compare, ``coins(keys, salts, coin_threshold(p))``,
+which skips numpy's slow uint64→float64 conversion.
+
 All public functions are pure and vectorized; overflow wraps mod 2**64
 (C semantics). Array ufuncs wrap silently but numpy scalars warn
 (numpy 1.26.4), so :func:`splitmix64` runs 0-d input as a 1-element array
@@ -60,14 +65,50 @@ def salt_mix(salts: np.ndarray) -> np.ndarray:
 
 
 def u01(key: np.ndarray | int, salt: int) -> np.ndarray:
-    """Uniform [0, 1) double derived from ``key`` and a scalar ``salt``.
+    """Uniform [0, 1] double derived from ``key`` and a scalar ``salt``:
+    the 64-bit hash rounded to a double and divided by 2**64.
 
-    ``salt`` is the sketch / simulation id (plus a stream offset chosen by
-    the caller so sketches, RR sets, and MC simulations never share
-    randomness). Many salts at once go through :func:`salt_mix`.
+    The result is 1.0 exactly when the hash is at least 2**64 - 1024 (the
+    top 1,024 hashes round up to 2**64), otherwise below 1. ``salt`` is
+    the sketch / simulation id (plus a stream offset chosen by the caller
+    so sketches, RR sets, and MC simulations never share randomness).
+    Many salts at once go through :func:`salt_mix`.
     """
     key = np.asarray(key, dtype=np.uint64)
     return splitmix64(key ^ _mix(int(salt))).astype(np.float64) / _TWO64
+
+
+def coin_threshold(p: np.ndarray) -> np.ndarray:
+    """The uint64 threshold T of each probability: for every hash h,
+    ``h < T  ⟺  float64(h) / 2**64 < p``. So :func:`coins` flips
+    ``u01(key, salt) < p`` bit for bit with no uint64→float64 conversion.
+
+    The conversion rounds to nearest, ties to even, and is monotone, so the
+    alive hashes are the prefix [0, T). With P = p·2**64 (exact): every
+    h ≤ 2**53 converts exactly, so T = ceil(P) for P ≤ 2**53. Above, the
+    double q just below P and the gap s = P - q bound the hashes that round
+    to P or higher: those above the midpoint q + s/2, and the midpoint
+    itself iff it rounds up, i.e. iff q's significand q/s is odd. At p = 1
+    this gives 2**64 - 1024 (see :func:`u01`).
+    """
+    big = np.ldexp(np.atleast_1d(np.asarray(p, dtype=np.float64)), 64)
+    thresh = np.ceil(np.minimum(big, 2.0**53)).astype(np.uint64)
+    hi = big > 2.0**53
+    q = np.nextafter(big[hi], 0.0)
+    s = big[hi] - q
+    thresh[hi] = q.astype(np.uint64) + (s / 2).astype(np.uint64) + (q / s % 2 == 0)
+    return thresh
+
+
+def coins(keys: np.ndarray, salts: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """(len(salts), len(keys)) bool: ``u01(keys[e], salts[t]) < p[e]``
+    bit for bit, where ``thresh`` is :func:`coin_threshold` of p — one XOR,
+    one splitmix64 and one integer compare per coin. ``u01`` hashes
+    ``key ^ salt_mix(salt) ^ splitmix64(G)``, and the last two terms are
+    ``splitmix64(salt·G + G)``."""
+    salts = np.atleast_1d(np.asarray(salts, dtype=np.uint64))
+    mix = splitmix64(salts * _GOLDEN + _GOLDEN)
+    return splitmix64(keys ^ mix[:, None]) < thresh
 
 
 @functools.lru_cache(maxsize=4096)

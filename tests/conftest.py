@@ -13,6 +13,7 @@ from repro.core.sketches import build_sketches_local
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import _canonicalize, grid2d, knn_graph, rmat
 from repro.graphs.probs import consistent_probs
+from repro.hashing import _mix
 
 
 def erdos_renyi(n: int, m_target: int, *, seed: int) -> np.ndarray:
@@ -20,6 +21,23 @@ def erdos_renyi(n: int, m_target: int, *, seed: int) -> np.ndarray:
     g = np.random.default_rng(seed)
     n_arcs = int(m_target * 1.1) + 8
     return _canonicalize(g.integers(0, n, n_arcs), g.integers(0, n, n_arcs))
+
+
+def _unxorshift(x: int, s: int) -> int:
+    y = x
+    for _ in range(64 // s + 1):
+        y = x ^ (y >> s)
+    return y
+
+
+def u01_key(h: int, salt: int) -> int:
+    """The key whose ``u01(key, salt)`` hashes to ``h``: splitmix64
+    inverted step by step (each xorshift undone by iterating it, each
+    multiply by the odd constant's inverse mod 2**64), then the salt's
+    mix XORed back out."""
+    x = _unxorshift(h, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    x = _unxorshift(x, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return _unxorshift(x, 30) ^ int(_mix(salt))
 
 
 GRAPH_CASES = {

@@ -3,17 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hashing import (
     SALT_PROB,
     SALT_RR,
     SALT_SIM,
     SALT_SKETCH,
+    coin_threshold,
+    coins,
     edge_key,
     salt_mix,
     splitmix64,
     u01,
 )
+from tests.conftest import u01_key
 
 
 def test_splitmix_deterministic():
@@ -143,3 +147,68 @@ def test_array_results_equal_scalar_results():
         assert edge_key(vs, vs[::-1]).tolist() == [
             int(edge_key(int(a), int(b))) for a, b in zip(vs, vs[::-1])
         ]
+
+
+def test_u01_is_one_for_the_top_1024_hashes():
+    """``u01`` rounds the 1,024 hashes ≥ 2**64 - 1024 up to exactly 1.0
+    and every smaller hash below 1; keys found by inverting splitmix64."""
+    for salt in (0, SALT_SKETCH + 5, SALT_RR + 0xBEEF):
+        for h in (2**64 - 1, 2**64 - 1000, 2**64 - 1024):
+            assert float(u01(u01_key(h, salt), salt)) == 1.0
+        for h in (2**64 - 1025, 2**64 - 2048, 2**63):
+            assert float(u01(u01_key(h, salt), salt)) < 1.0
+    assert u01_key(2**64 - 1, 0) == 3295135839792029807
+    assert float(u01(3295135839792029807, 0)) == 1.0
+
+
+def _around_threshold(p: np.ndarray) -> tuple:
+    """(x, p, T) for every x in {T-2, …, T+1} of each p's threshold T,
+    within uint64."""
+    t = coin_threshold(p)
+    xs = [min(max(int(x) + d, 0), 2**64 - 1) for x in t for d in (-2, -1, 0, 1)]
+    return np.array(xs, dtype=np.uint64), np.repeat(p, 4), np.repeat(t, 4)
+
+
+# p = 0 and 1, multiples of 2**-53 (where P = p·2**64 crosses 2**11·k,
+# the hashes that convert exactly) and the binade edges, each with its
+# float neighbours.
+_EDGE_PS = [0.0, 1.0, 2.0**-11, 2.0**-12, 0.5, 0.25, 3 * 2.0**-53,
+            (2**52 + 1) * 2.0**-53, (2**53 - 1) * 2.0**-53, 5e-324, 1e-300]
+
+
+@pytest.mark.parametrize("p", _EDGE_PS)
+def test_coin_threshold_at_boundaries(p):
+    near = np.array([np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)])
+    near = near[(near >= 0) & (near <= 1)]
+    x, pr, t = _around_threshold(near)
+    assert ((x < t) == (x.astype(np.float64) / 2**64 < pr)).all()
+
+
+def test_coin_threshold_of_one_and_zero():
+    assert coin_threshold(np.array([0.0, 1.0])).tolist() == [0, 2**64 - 1024]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+    st.integers(0, 2**53).map(lambda k: float(np.nextafter(k * 2.0**-53, 1.0))),
+))
+def test_coin_threshold_splits_hashes_like_the_float_coin(p):
+    """``x < T(p)`` iff ``float64(x) / 2**64 < p``, for x from T - 2 to
+    T + 1: T is exactly the first hash whose ``u01`` reaches p."""
+    x, pr, t = _around_threshold(np.array([p]))
+    assert ((x < t) == (x.astype(np.float64) / 2**64 < pr)).all()
+
+
+@pytest.mark.parametrize("stream", [SALT_SKETCH, SALT_SIM, SALT_RR])
+def test_coins_equal_u01_coins(stream):
+    rng = np.random.default_rng(stream)
+    keys = rng.integers(0, 2**64, 4000, dtype=np.uint64, endpoint=False)
+    keys[:3] = [u01_key(2**64 - 1, stream + 2), u01_key(2**64 - 1024, stream),
+                u01_key(2**64 - 1025, stream + 1)]
+    p = rng.choice([0.0, 0.05, 0.3, 1.0, np.nextafter(1.0, 0.0)], 4000)
+    salts = stream + np.arange(5)
+    got = coins(keys, salts, coin_threshold(p))
+    want = np.array([u01(keys, int(s)) < p for s in salts])
+    assert np.array_equal(got, want)

@@ -68,6 +68,11 @@ def test_duplicate_and_bidirectional_arcs_ok():
     us = np.array([0, 1, 0, 1, 1])
     vs = np.array([1, 0, 1, 2, 2])
     assert np.array_equal(cc_labels(3, us, vs), np.zeros(3, dtype=np.int64))
+    # Self-loops too, on vertices alone and inside components.
+    us = np.array([5, 5, 3, 3, 7, 2, 2, 6, 6, 0])
+    vs = np.array([5, 3, 5, 5, 7, 6, 6, 2, 4, 0])
+    assert np.array_equal(cc_labels(8, us, vs), _ref_labels(8, us, vs))
+    assert cc_labels(8, us, vs).tolist() == [0, 1, 2, 3, 2, 3, 2, 7]
 
 
 def test_cc_sizes():
@@ -90,6 +95,39 @@ def test_bfs_component_matches_labels(source):
     comp = np.concatenate([v for _, v in levels])
     assert sorted(comp) == sorted(np.flatnonzero(lab == lab[source]))
     assert len(np.unique(comp)) == len(comp)
+
+
+def test_path_with_decreasing_ids():
+    # Id 0 at the far end from the largest id: the input on which label
+    # propagation takes one round per hop.
+    n = 300
+    us, vs = np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)
+    assert np.array_equal(cc_labels(n, vs, us), _ref_labels(n, us, vs))
+    assert (cc_labels(n, us, vs) == 0).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permuted_ids(seed):
+    """Paths, a grid and a random graph, every id permuted."""
+    g = np.random.default_rng(seed)
+    e = np.concatenate([
+        np.stack([np.arange(99), np.arange(1, 100)], axis=1),
+        100 + grid2d(10, 12),
+        220 + erdos_renyi(80, 90, seed=seed),
+    ])
+    perm = g.permutation(310)
+    us, vs = perm[e[:, 0]], perm[e[:, 1]]
+    assert np.array_equal(cc_labels(310, us, vs), _ref_labels(310, us, vs))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_sampled_at_half(seed):
+    """A 60x60 grid at p=0.5, near its percolation threshold: long,
+    winding components."""
+    e = grid2d(60, 60)
+    e = e[np.random.default_rng(seed).random(len(e)) < 0.5]
+    us, vs = e[:, 0], e[:, 1]
+    assert np.array_equal(cc_labels(3600, us, vs), _ref_labels(3600, us, vs))
 
 
 def test_grid_single_component():

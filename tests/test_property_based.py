@@ -15,7 +15,8 @@ from repro.core.ptree import PTree
 from repro.core.wintree import WinTree
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import _canonicalize
-from repro.hashing import SALT_SIM, edge_key, u01
+from repro.hashing import SALT_SIM, _mix, edge_key, splitmix64, u01
+from tests.conftest import u01_key
 
 
 @st.composite
@@ -76,14 +77,22 @@ def test_wintree_drains_in_rank_order(scores):
     assert order == _rank(scores)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 40),
     st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120),
+    st.randoms(use_true_random=False),
+    st.integers(0, 39),
 )
-def test_cc_labels_vs_reference(n, pairs):
-    us = np.array([min(a, b) % n for a, b in pairs], dtype=np.int64)
-    vs = np.array([max(a, b) % n for a, b in pairs], dtype=np.int64)
+def test_cc_labels_vs_reference(n, pairs, rnd, path_len):
+    """Arcs in either direction, self-loops and duplicates, plus a path
+    of ``path_len`` vertices; all ids under a random permutation, so the
+    path's ids may decrease along it."""
+    pairs = pairs + [(i, i + 1) for i in range(min(path_len, n - 1))]
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    us = np.array([perm[a % n] for a, _ in pairs], dtype=np.int64)
+    vs = np.array([perm[b % n] for _, b in pairs], dtype=np.int64)
     got = cc_labels(n, us, vs)
     # reference: union-find
     parent = list(range(n))
@@ -112,10 +121,24 @@ def test_edge_key_symmetry_property(u, v):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**63 - 1), st.integers(0, 2**20))
+@given(
+    st.one_of(
+        st.integers(0, 2**63 - 1),
+        st.integers(2**64 - 1024, 2**64 - 1).map(lambda h: ("top", h)),
+        st.integers(2**64 - 1100, 2**64 - 1025).map(lambda h: ("near", h)),
+    ),
+    st.integers(0, 2**20),
+)
 def test_u01_in_unit_interval(key, salt):
+    """``u01`` is in [0, 1], and 1.0 exactly when its hash is at least
+    2**64 - 1024; hashes at and just below that line come from inverted
+    keys."""
+    if isinstance(key, tuple):
+        key = u01_key(key[1], salt)
+    h = int(splitmix64(np.uint64(key) ^ _mix(salt)))
     x = float(u01(np.uint64(key), salt))
-    assert 0.0 <= x < 1.0
+    assert 0.0 <= x <= 1.0
+    assert (x == 1.0) == (h >= 2**64 - 1024)
 
 
 @settings(max_examples=40, deadline=None)

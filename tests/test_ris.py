@@ -15,7 +15,7 @@ from repro.core.sketches import sampled_arcs
 from repro.graphs.csr import build_csr
 from repro.graphs.probs import consistent_probs
 from repro.hashing import SALT_RR
-from tests.conftest import erdos_renyi
+from tests.conftest import erdos_renyi, u01_key
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,18 @@ def test_roots_roughly_uniform(graph):
     assert roots.min() >= 0 and roots.max() < csr.n
     counts = np.bincount(roots, minlength=csr.n)
     assert counts.max() < 6 * counts.mean()
+
+
+def test_root_in_range_where_u01_is_one():
+    """The 1,024 hashes whose ``u01`` is 1.0 give root n - 1, not n; keys
+    found by inverting splitmix64."""
+    salt = SALT_RR + 0xBEEF
+    keys = [u01_key(h, salt) for h in (2**64 - 1, 2**64 - 512, 2**64 - 1024)]
+    assert keys[0] == 7526050937030644245
+    assert _rr_root(keys[0], 0, 100) == 99
+    assert _rr_root(np.array(keys, dtype=np.uint64), 0, 100).tolist() == [99] * 3
+    below = u01_key(2**64 - 1025, salt)
+    assert _rr_root(below, 0, 100) == 99  # u01 < 1, already below n
 
 
 def test_generate_local_shapes(graph):

@@ -4,13 +4,15 @@ import pytest
 
 from repro.cc.local_cc import cc_labels
 from repro.core.sketches import (
+    _edge_view,
     build_sketches_local,
     choose_centers,
     sampled_arcs,
+    sampled_edges,
 )
 from repro.graphs.csr import build_csr
-from repro.graphs.probs import consistent_probs
-from repro.hashing import SALT_SKETCH
+from repro.graphs.probs import consistent_probs, make_probs
+from repro.hashing import SALT_RR, SALT_SIM, SALT_SKETCH
 from tests.conftest import erdos_renyi
 
 
@@ -59,6 +61,26 @@ def test_sampled_arcs_differ_across_sketches(setup):
     a = sampled_arcs(csr, probs, SALT_SKETCH + 0)
     b = sampled_arcs(csr, probs, SALT_SKETCH + 1)
     assert len(a[0]) != len(b[0]) or not np.array_equal(a[0], b[0])
+
+
+@pytest.mark.parametrize(
+    "model,kw",
+    [("consistent", {"p": 0.2}), ("consistent", {"p": 1.0}),
+     ("uniform", {"lo": 0.0, "hi": 0.2}), ("wic", {})],
+)
+def test_sampled_edges_equal_sampled_arcs(setup, model, kw):
+    """The integer-threshold sampler keeps exactly the edges whose
+    ``u < v`` arc the float coin keeps, salt by salt, in one call."""
+    csr, _ = setup
+    probs = make_probs(csr, model, **kw)
+    salts = np.concatenate([s + np.arange(4) for s in (SALT_SKETCH, SALT_SIM, SALT_RR)])
+    us, vs = sampled_edges(csr.n, _edge_view(csr, probs), salts)
+    for t, salt in enumerate(salts):
+        mine = us // csr.n == t
+        a_us, a_vs = sampled_arcs(csr, probs, int(salt))
+        fwd = a_us < a_vs
+        assert np.array_equal(us[mine] - t * csr.n, a_us[fwd])
+        assert np.array_equal(vs[mine] - t * csr.n, a_vs[fwd])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.4, 1.0])
